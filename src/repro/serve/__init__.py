@@ -17,13 +17,16 @@ Modules
     Per-tenant durable artifacts: journal-before-respond event log,
     atomic snapshots, lossy evict state.
 ``shard``
-    Worker processes owning warm predictors; ``TenantState`` (live,
-    replay and oracle share one compute path); the asyncio-side handle.
+    Worker processes owning warm predictors; ``TenantState`` (live
+    serving and journal replay share one compute path, the
+    config-specialized kernel); the asyncio-side handle.
 ``server``
     The asyncio front end: admission control, LRU eviction, deadlines,
     shard supervision and restart, the metrics ledger.
 ``client``
-    Pipelining client and the workload-replaying load generator.
+    Pipelining client, the workload-replaying load generator, and the
+    uninterrupted oracle, which computes through the reference
+    pipeline rather than the shards' kernel.
 ``chaos``
     Seeded fault-injection scenarios with liveness / exactness /
     accounting audits.

@@ -12,19 +12,20 @@ shed, deadline, shard-restart) until the batch is answered, folds the
 returned records into its own fingerprint chain, and finally checks its
 chain against the server's — the client-side half of the byte-identical
 contract.  :func:`reference_fingerprint` computes the same chain
-locally with no server at all: the uninterrupted oracle the chaos
-harness compares against.
+locally with no server at all and through the reference pipeline
+rather than the shards' specialized kernel: the uninterrupted oracle
+the chaos harness compares against.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ServeError
 from repro.serve import protocol
-from repro.serve.shard import compute_batch, config_factory
+from repro.serve.shard import config_factory
 from repro.stats import RunStats
 from repro.engine import create_predictor
 from repro.workloads import get_workload
@@ -69,12 +70,34 @@ class TenantPlan:
                 "burst": self.burst, "pace": self.pace}
 
 
+def reference_batch(predictor, stats: RunStats, branches,
+                    needs_restart: bool) -> Tuple[List, bool]:
+    """:func:`~repro.serve.shard.compute_batch`'s contract, computed by
+    the reference pipeline: ``predict_and_resolve`` branch by branch,
+    never a generated kernel."""
+    if needs_restart and branches:
+        first = branches[0]
+        predictor.restart(first.address, context=first.context,
+                          thread=first.thread)
+    records = []
+    record = stats.record
+    resolve = predictor.predict_and_resolve
+    encode = protocol.encode_record
+    for branch in branches:
+        outcome = resolve(branch)
+        record(outcome)
+        records.append(encode(outcome))
+    return records, False
+
+
 def reference_fingerprint(plan: TenantPlan) -> Dict:
     """Serve *plan* locally, uninterrupted — the chaos oracle.
 
-    Shares :func:`~repro.serve.shard.compute_batch` with the shards, so
-    identity here means the service layer added nothing and lost
-    nothing.
+    Runs every batch through :func:`reference_batch`, the readable
+    reference pipeline, while the shards serve through the specialized
+    kernel (:func:`~repro.serve.shard.compute_batch`).  Identity here
+    means the service layer added nothing and lost nothing, and that
+    the kernel answered exactly what the reference pipeline would.
     """
     predictor = create_predictor(config_factory(plan.config)(),
                                  plan.backend)
@@ -83,8 +106,8 @@ def reference_fingerprint(plan: TenantPlan) -> Dict:
     needs_restart = True
     for rows in plan.batches():
         branches = [protocol.decode_branch(row) for row in rows]
-        records, needs_restart = compute_batch(predictor, stats, branches,
-                                               needs_restart)
+        records, needs_restart = reference_batch(predictor, stats,
+                                                 branches, needs_restart)
         fingerprint = protocol.fold_fingerprint(fingerprint, records)
     return {"fingerprint": fingerprint, "branches": stats.branches,
             "mispredicted": stats.mispredicted_branches}

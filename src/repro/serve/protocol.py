@@ -35,6 +35,7 @@ identical chains are equivalent by construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -120,6 +121,28 @@ def encode_branch(branch: DynamicBranch) -> List:
     ]
 
 
+#: Bound on the static-instruction decode cache.  Real traffic repeats
+#: a few hundred static sites per tenant (``transactions``: 337 in 16K
+#: branches), so a warm cache serves nearly every row; the bound caps
+#: what hostile input that never repeats a site can make it hold.
+DECODE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE, typed=True)
+def _static_instruction(address, length, kind, static_target) -> Instruction:
+    """The frozen :class:`Instruction` of one static site, shared by
+    every row that names it (as the executor shares one per site).
+    ``typed=True`` keeps ``4``/``4.0``/``True`` apart, so a warm cache
+    never changes what a row decodes to; a rejected site raises (an
+    unhashable field, with ``TypeError``) and is never cached."""
+    return Instruction(
+        address=address,
+        length=length,
+        kind=BranchKind(kind),
+        static_target=static_target,
+    )
+
+
 def decode_branch(row: Sequence) -> DynamicBranch:
     """Rebuild the :class:`DynamicBranch` a wire row describes."""
     if not isinstance(row, (list, tuple)) or len(row) != 9:
@@ -127,15 +150,10 @@ def decode_branch(row: Sequence) -> DynamicBranch:
     sequence, address, length, kind, static_target, taken, target, \
         context, thread = row
     try:
-        instruction = Instruction(
-            address=address,
-            length=length,
-            kind=BranchKind(kind),
-            static_target=static_target,
-        )
         return DynamicBranch(
             sequence=sequence,
-            instruction=instruction,
+            instruction=_static_instruction(address, length, kind,
+                                            static_target),
             taken=bool(taken),
             target=target,
             thread=thread,

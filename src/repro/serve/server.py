@@ -217,10 +217,12 @@ class PredictorServer:
         self._stopping = True
         if self._supervisor is not None:
             self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except asyncio.CancelledError:
-                pass
+            # asyncio.wait absorbs the supervisor's own cancellation but
+            # not one aimed at stop(); a cancel the supervisor swallowed
+            # (a ping reply landing with it) ends its loop on _stopping.
+            await asyncio.wait({self._supervisor})
+            if not self._supervisor.cancelled():
+                self._supervisor.result()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -265,7 +267,7 @@ class PredictorServer:
             pass  # genuinely broken: the supervisor will restart it
 
     async def _supervise(self) -> None:
-        while True:
+        while not self._stopping:
             await asyncio.sleep(self.options.heartbeat_interval)
             for shard in self.shards:
                 if not shard.alive:

@@ -7,10 +7,13 @@ The asyncio side wraps each shard in a :class:`ShardHandle` whose
 reader thread pumps replies back into the event loop.
 
 :class:`TenantState` is deliberately process-agnostic — the chaos
-harness instantiates it directly as the uninterrupted oracle, and
-recovery replays journals through the very same compute path that
-served them, so "replay equals live" is structural rather than
-aspirational.
+harness replays spools through it offline, and recovery replays
+journals through the very same compute path that served them, so
+"replay equals live" is structural rather than aspirational.  That path
+(:func:`compute_batch`) runs the config-specialized kernel; the
+uninterrupted oracle in :mod:`repro.serve.client` runs the reference
+pipeline instead, so "served equals oracle" also pins kernel ==
+reference.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.common.errors import JournalError, ServeError
 from repro.configs import GENERATIONS
 from repro.core.state_io import load_state, save_state
 from repro.engine import create_predictor
+from repro.engine.specialize import kernels_for
 from repro.serve import protocol
 from repro.serve.journal import (
     JournalWriter,
@@ -55,21 +59,27 @@ def config_factory(name: str):
 
 def compute_batch(predictor, stats: RunStats, branches,
                   needs_restart: bool) -> Tuple[List, bool]:
-    """Predict one batch; the single compute path live serving, journal
-    replay and the chaos oracle all share.  Returns ``(records, False)``
-    — the restart debt, if any, has been paid to the first branch."""
+    """Predict one batch; the single compute path live serving and
+    journal replay share.  Returns ``(records, False)`` — the restart
+    debt, if any, has been paid to the first branch.
+
+    Drives the config-specialized kernel the ``fast`` engine mode runs
+    (:func:`~repro.engine.specialize.kernels_for` compiles it on the
+    first batch of a config shape); the oracle,
+    :func:`~repro.serve.client.reference_fingerprint`, drives
+    ``predict_and_resolve`` instead.
+    """
     if needs_restart and branches:
         first = branches[0]
         predictor.restart(first.address, context=first.context,
                           thread=first.thread)
     records = []
-    record = stats.record
-    resolve = predictor.predict_and_resolve
+    append = records.append
     encode = protocol.encode_record
-    for branch in branches:
-        outcome = resolve(branch)
-        record(outcome)
-        records.append(encode(outcome))
+    kernels_for(predictor).counted_observed(
+        predictor, branches, stats, None,
+        lambda outcome: append(encode(outcome)),
+    )
     return records, False
 
 

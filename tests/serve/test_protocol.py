@@ -73,6 +73,62 @@ def test_decode_branch_rejects_malformed_rows(row):
         protocol.decode_branch(row)
 
 
+# -- static-instruction decode cache -------------------------------------
+
+def _uncached(row):
+    protocol._static_instruction.cache_clear()
+    return protocol.decode_branch(row)
+
+
+def test_decode_cache_keeps_rows_that_differ_only_in_type_apart():
+    row = next(protocol.encode_branch(branch) for branch in _branches()
+               if branch.instruction.static_target is not None)
+    address, length, target = row[1], row[2], row[4]
+    variants = [
+        row,
+        row[:1] + [float(address)] + row[2:],
+        row[:2] + [float(length)] + row[3:],
+        row[:4] + [float(target)] + row[5:],
+        [0, 0, 4, "cond-rel", 0, 1, 0, 0, 0],
+        [0, False, 4, "cond-rel", False, 1, 0, 0, 0],
+    ]
+    # repr shows every field with its type (4 vs 4.0, 0 vs False).
+    expected = [repr(_uncached(variant)) for variant in variants]
+    assert len(set(expected)) == len(variants)
+    protocol._static_instruction.cache_clear()
+    for _round in range(2):  # cold, then warm
+        assert [repr(protocol.decode_branch(variant))
+                for variant in variants] == expected
+
+
+@pytest.mark.parametrize("row", [
+    [0, 5, 4, "cond-rel", 8, 1, 8, 0, 0],     # address not halfword aligned
+    [0, True, 4, "cond-rel", 8, 1, 8, 0, 0],  # ... as a bool
+    [0, 4, 1, "cond-rel", 8, 1, 8, 0, 0],     # no such length
+    [0, 4, True, "cond-rel", 8, 1, 8, 0, 0],
+    [0, 4, 4, "bogus", 8, 1, 8, 0, 0],        # no such kind
+    [0, [4], 4, "cond-rel", 8, 1, 8, 0, 0],   # unhashable
+])
+def test_decode_cache_never_remembers_a_rejected_row(row):
+    valid = [0, 4, 4, "cond-rel", 8, 1, 8, 0, 0]
+    protocol.decode_branch(valid)  # a warm neighbour site
+    size = protocol._static_instruction.cache_info().currsize
+    for _attempt in range(2):
+        with pytest.raises(ServeError):
+            protocol.decode_branch(row)
+    assert protocol._static_instruction.cache_info().currsize == size
+
+
+def test_decode_cache_stays_at_its_bound():
+    bound = protocol.DECODE_CACHE_SIZE
+    for site in range(bound + 100):
+        protocol.decode_branch([site, 2 * site, 2, "uncond-ind", None,
+                                1, 8, 0, 0])
+    info = protocol._static_instruction.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize == bound
+
+
 # -- fingerprint chain ---------------------------------------------------
 
 def test_genesis_fingerprint_is_schema_anchored():

@@ -200,3 +200,76 @@ def test_final_manifest_accounts_for_the_run(tmp_path):
     assert manifest["serve"]["metrics"]["accounted"]
     assert (tmp_path / "spool" / "manifest.json").exists()
     assert (tmp_path / "spool" / "events.jsonl").exists()
+
+
+def test_stop_returns_when_the_supervisor_swallows_its_cancel(tmp_path):
+    """``asyncio.wait_for`` returns a ping reply that lands with the
+    supervisor's cancel and swallows the cancel; ``stop()`` must still
+    return."""
+    async def run():
+        server = PredictorServer(tmp_path / "spool", _options())
+        await server.start()
+        shard = server.shards[0]
+        request = shard.request
+        blocked = asyncio.Event()
+        swallowed = []
+
+        async def ping_swallowing_cancel(op, payload, timeout=None):
+            if op != "ping" or swallowed:
+                return await request(op, payload, timeout=timeout)
+            blocked.set()
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                swallowed.append(True)
+            return {"status": "ok"}
+
+        shard.request = ping_swallowing_cancel
+        await asyncio.wait_for(blocked.wait(), 10)
+        stop = asyncio.create_task(server.stop(reason="test"))
+        done, _ = await asyncio.wait({stop}, timeout=5)
+        if not done:
+            stop.cancel()
+            await asyncio.wait({stop})
+        return stop in done, server._supervisor.done()
+
+    stopped, supervisor_done = _run(run())
+    assert stopped
+    assert supervisor_done
+
+
+def test_cancelling_stop_is_not_absorbed_as_the_supervisors(tmp_path):
+    """A cancel aimed at ``stop()`` propagates while it waits for a
+    supervisor that ignores its own cancellation."""
+    async def run():
+        server = PredictorServer(tmp_path / "spool", _options())
+        await server.start()
+        shard = server.shards[0]
+        request = shard.request
+        release = asyncio.Event()
+        blocked = asyncio.Event()
+
+        async def ping_ignoring_cancel(op, payload, timeout=None):
+            if op != "ping" or release.is_set():
+                return await request(op, payload, timeout=timeout)
+            blocked.set()
+            while not release.is_set():
+                try:
+                    await release.wait()
+                except asyncio.CancelledError:
+                    pass
+            return {"status": "ok"}
+
+        shard.request = ping_ignoring_cancel
+        await asyncio.wait_for(blocked.wait(), 10)
+        stop = asyncio.create_task(server.stop(reason="test"))
+        await asyncio.sleep(0.2)  # stop() is now waiting on the supervisor
+        stop.cancel()
+        await asyncio.wait({stop}, timeout=5)
+        cancelled = stop.cancelled()
+        release.set()
+        if cancelled:
+            await server.stop(reason="test")
+        return cancelled
+
+    assert _run(run())
