@@ -29,32 +29,6 @@ RESULTS_PATH = os.environ.get(
     os.path.join(os.path.dirname(__file__), "results", "latest.txt"),
 )
 
-#: Bench-history JSONL (``repro-bench-history/v1``) the observatory's
-#: ``repro report`` renders trend deltas from.  Overridable so CI can
-#: persist it across runs as a cached artifact.
-HISTORY_PATH = os.environ.get(
-    "REPRO_BENCH_HISTORY",
-    os.path.join(os.path.dirname(__file__), "results", "history.jsonl"),
-)
-
-
-def append_history(kind: str, metrics: Dict[str, float],
-                   manifest: Optional[dict] = None,
-                   label: Optional[str] = None,
-                   path: Optional[str] = None) -> str:
-    """Append one bench-history row to :data:`HISTORY_PATH` (or *path*)
-    and return the path written.  Thin wrapper over
-    :mod:`repro.obs.observatory` so individual benchmarks don't import
-    the observatory directly."""
-    from repro.obs.observatory import append_history as _append
-    from repro.obs.observatory import history_row
-
-    target = path or HISTORY_PATH
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    _append(target, history_row(kind, metrics, manifest=manifest,
-                                label=label))
-    return target
-
 
 def run_functional(
     config: PredictorConfig,

@@ -12,15 +12,16 @@ Commands:
   engine equivalence, deterministic replay, baseline cross-validation).
 * ``sweep`` — fan a (config × workload × seed) grid over warm worker
   processes (serialize-once payload transfer, ``--chunk-size`` cell
-  chunking); optionally record a machine-readable throughput report and
-  compare it against a committed baseline.  Failing cells surface as
-  structured error rows instead of aborting the sweep.
-  ``--stream-out`` checkpoints results to JSONL as they complete;
-  ``--resume`` restarts a killed sweep from such a stream.
+  chunking) in one pass.  Failing cells surface as structured error rows
+  instead of aborting the sweep.  ``--stream-out`` checkpoints results
+  to JSONL as they complete; ``--resume`` restarts a killed sweep from
+  such a stream.
 * ``fleet`` — run a full design-space fleet grid (configs × workloads ×
   seeds × fault plans × backends, ~1000 cells) sequentially and over
-  the warm pool, and emit the merged ``BENCH_fleet.json`` artifact
+  the warm pool, and emit the merged ``repro-fleet/v1`` payload
   (throughput both ways, measured speedup, equivalence verdict).
+  Benchmark numbers come from ``perfbench/``; fleet is the only
+  command that times sequential against parallel.
 * ``faults`` — run a deterministic fault-injection campaign and prove
   the committed branch stream is identical to the fault-free run (the
   predictor is a hint engine: faults may only cost accuracy).
@@ -32,7 +33,7 @@ Commands:
   sweep telemetry dump or checkpoint stream) as OpenMetrics text or
   canonical JSON, with per-(backend, engine-mode, workload) rollups
   for multi-cell inputs.
-* ``report`` — the observatory: classify BENCH artifacts, sweep
+* ``report`` — the observatory: classify fleet payloads, sweep
   streams, manifests, span files and bench history, and render one
   markdown dashboard with trend deltas and regression highlights.
 * ``serve`` — the prediction service: an asyncio front end multiplexing
@@ -54,9 +55,9 @@ signature of a killed writer) becomes a located error instead of being
 silently dropped.
 
 ``run``/``sweep``/``fleet`` accept ``--metrics-out`` (OpenMetrics
-export, implies telemetry), ``--spans-out`` (phase span tracing) and —
-for the sweep commands — ``--history`` (append a bench-history row the
-``report`` dashboard turns into trend deltas).
+export, implies telemetry) and ``--spans-out`` (phase span tracing);
+``fleet --history`` appends a bench-history row the ``report``
+dashboard turns into trend deltas.
 """
 
 from __future__ import annotations
@@ -87,17 +88,12 @@ from repro.engine import (
     ENGINE_MODES,
     CycleEngine,
     FunctionalEngine,
-    PayloadRegistry,
-    SweepStreamWriter,
     build_fleet_grid,
     create_predictor,
     load_stream,
     make_grid,
-    restore_completed,
-    result_to_row,
-    run_cells,
+    run_checkpointed,
     run_fleet,
-    stream_cells,
 )
 from repro.obs import TelemetrySession
 from repro.stats import MispredictProfile, load_trace
@@ -361,171 +357,40 @@ def cmd_verify_diff(args: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def _single_run_bps(workload: str, branches: int = 3000, repeats: int = 3,
-                    backend: str = "object",
-                    engine_mode: str = "reference") -> float:
-    """Best-of-N single-engine throughput, benchmark-style: predictor
-    construction and workload build sit inside the timed region, exactly
-    like ``benchmarks/bench_simulator_throughput.py``.  Kernel
-    compilation for fast mode is cached process-wide, so (like any JIT)
-    only the first fast run pays it; a warm call outside the timed loop
-    makes repeats measure steady state."""
-    if engine_mode == "fast":
-        FunctionalEngine(create_predictor(z15_config(), backend),
-                         engine_mode="fast")
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        engine = FunctionalEngine(create_predictor(z15_config(), backend),
-                                  engine_mode=engine_mode)
-        program = get_workload(workload)
-        engine.run_program(program, max_branches=branches, warmup_branches=0)
-        best = max(best, branches / (time.perf_counter() - start))
-    return best
-
-
-def _throughput_payload(cells, workers, seq_results, seq_wall, par_results,
-                        par_wall, workload_names, args):
-    """Assemble the BENCH_throughput.json document."""
-    total_branches = sum(result.branches for result in seq_results)
-    equivalent = [r.fingerprint for r in seq_results] == [
-        r.fingerprint for r in par_results
-    ]
-    per_workload = {}
-    for name in workload_names:
-        seq_cells = [r for r in seq_results if r.workload == name]
-        par_cells = [r for r in par_results if r.workload == name]
-        branches = sum(r.branches for r in seq_cells)
-        seq_seconds = sum(r.elapsed for r in seq_cells)
-        par_seconds = sum(r.elapsed for r in par_cells)
-        per_workload[name] = {
-            "branches": branches,
-            "sequential_bps": branches / seq_seconds if seq_seconds else 0.0,
-            # In-worker throughput: per-cell wall time measured inside
-            # the worker process (pool overhead excluded).
-            "parallel_worker_bps": branches / par_seconds if par_seconds else 0.0,
-        }
-    return {
-        "schema": "repro-throughput/v3",
-        #: The predictor backend / engine mode the sweep grid ran on;
-        #: single_run numbers below always cover the full backends x
-        #: engine-modes matrix.
-        "backend": args.backend,
-        "engine_mode": args.engine_mode,
-        #: Interprets the speedup: on a single-CPU box the pool can only
-        #: add overhead, so speedup <= 1 is expected there.
-        "cpu_count": os.cpu_count(),
-        "grid": {
-            "configs": list(args.configs),
-            "workloads": list(workload_names),
-            "seeds": list(args.seeds),
-            "branches_per_cell": args.branches,
-            "warmup_per_cell": args.warmup,
-            "cells": len(cells),
-        },
-        "sequential": {
-            "wall_seconds": seq_wall,
-            "branches_per_second": total_branches / seq_wall,
-        },
-        "parallel": {
-            "workers": workers,
-            "wall_seconds": par_wall,
-            "branches_per_second": total_branches / par_wall,
-        },
-        "speedup": seq_wall / par_wall if par_wall else 0.0,
-        "equivalent": equivalent,
-        "workloads": per_workload,
-        "single_run": {
-            name: {
-                backend: {
-                    mode: {"branches_per_second":
-                           _single_run_bps(name, backend=backend,
-                                           engine_mode=mode)}
-                    for mode in ENGINE_MODES
-                }
-                for backend in sorted(BACKENDS)
-            }
-            for name in ("compute-kernel", "transactions")
-        },
-    }
-
-
-def _single_run_floors(baseline):
-    """Flatten a baseline's single_run section into (workload, backend,
-    engine mode, baseline bps) rows.  v1 files carry one flat number per
-    workload (implicitly the object backend, reference mode); v2 files
-    nest per backend; v3 files nest per backend per engine mode."""
-    rows = []
-    for name, entry in baseline.get("single_run", {}).items():
-        if "branches_per_second" in entry:  # v1
-            rows.append((name, "object", "reference",
-                         entry["branches_per_second"]))
-            continue
-        for backend, numbers in entry.items():
-            if "branches_per_second" in numbers:  # v2
-                rows.append((name, backend, "reference",
-                             numbers["branches_per_second"]))
-            else:  # v3: {engine_mode: {branches_per_second: ...}}
-                for mode, inner in numbers.items():
-                    rows.append((name, backend, mode,
-                                 inner["branches_per_second"]))
-    return rows
-
-
-def _check_baseline(payload, baseline_path, max_regression):
-    """Compare a throughput payload against a committed baseline; returns
-    the list of regression messages (empty when healthy).  The gate is
-    per (workload, backend, engine mode): a fast-mode or array-backend
-    slowdown fails even when every other cell is healthy."""
-    with open(baseline_path) as stream:
-        baseline = json.load(stream)
-    floor_ratio = 1.0 - max_regression
-    failures = []
-    current_rows = {
-        (name, backend, mode): bps
-        for name, backend, mode, bps in _single_run_floors(payload)
-    }
-    for name, backend, mode, base_bps in _single_run_floors(baseline):
-        current = current_rows.get((name, backend, mode))
-        if current is None:
-            continue
-        floor = base_bps * floor_ratio
-        if current < floor:
-            failures.append(
-                f"single-run {name} [{backend}/{mode}]: {current:,.0f} "
-                f"branches/s < floor {floor:,.0f} "
-                f"(baseline {base_bps:,.0f}, "
-                f"max regression {max_regression:.0%})"
-            )
-    base_seq = baseline.get("sequential", {}).get("branches_per_second")
-    if base_seq:
-        floor = base_seq * floor_ratio
-        current = payload["sequential"]["branches_per_second"]
-        if current < floor:
-            failures.append(
-                f"sequential sweep: {current:,.0f} branches/s < floor "
-                f"{floor:,.0f} (baseline {base_seq:,.0f})"
-            )
-    return failures
-
-
-def cmd_sweep(args: argparse.Namespace) -> None:
-    configs = []
-    for name in args.configs:
+def _check_grid_names(configs=(), workloads=()) -> None:
+    """Exit with the known names when a config or workload is unknown."""
+    for name in configs:
         if name not in GENERATIONS:
             known = ", ".join(GENERATIONS)
             raise SystemExit(f"unknown config {name!r}; known: {known}")
-        factory, _ = GENERATIONS[name]
-        configs.append((name, factory()))
-    for name in args.workloads:
+    for name in workloads:
         if name not in STANDARD_WORKLOADS:
             known = ", ".join(sorted(STANDARD_WORKLOADS))
             raise SystemExit(f"unknown workload {name!r}; known: {known}")
+
+
+def _graceful_drain(args):
+    """SIGTERM/SIGINT drain gracefully only while ``--stream-out``
+    checkpoints rows (see :func:`repro.engine.run_checkpointed`);
+    without it the default signal behaviour (abort) is the right one."""
+    return GracefulShutdown() if args.stream_out else contextlib.nullcontext()
+
+
+def _exit_if_interrupted(shutdown, results, cells, stream_out) -> None:
+    if shutdown is not None and shutdown.requested:
+        print(f"interrupted by signal {shutdown.signum}: flushed "
+              f"{len(results)} of {len(cells)} row(s) to {stream_out}; "
+              f"resume with --resume {stream_out}")
+        sys.exit(shutdown.exit_code)
+
+
+def cmd_sweep(args: argparse.Namespace) -> None:
+    _check_grid_names(args.configs, args.workloads)
+    configs = [(name, GENERATIONS[name][0]()) for name in args.configs]
     cells = make_grid(configs, args.workloads, args.seeds,
                       branches=args.branches, warmup=args.warmup,
                       backend=args.backend, engine_mode=args.engine_mode)
-    if args.telemetry or args.metrics_out:
-        args.telemetry = True
+    if args.telemetry or args.metrics_out or args.telemetry_json:
         for cell in cells:
             cell.telemetry = True
 
@@ -546,76 +411,25 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         extra={"workers": args.workers, "chunk_size": args.chunk_size},
     )
     span_writer, spans = _span_tracer(args, "sweep")
-    throughput_mode = bool(args.throughput or args.json or args.baseline
-                           or args.history)
-    hardening = {"timeout": args.cell_timeout, "retries": args.cell_retries,
-                 "chunk_size": args.chunk_size}
-    if throughput_mode and (args.stream_out or args.resume):
-        raise SystemExit(
-            "--stream-out/--resume checkpoint a single pass; they cannot "
-            "be combined with the two-pass --throughput/--json/--baseline "
-            "timing mode"
-        )
-    if throughput_mode:
-        # Time the same grid both ways; the fingerprint comparison below
-        # doubles as a determinism check on every CI run.  Spans trace
-        # the parallel pass (the pool lifecycle is what they decompose).
-        start = time.perf_counter()
-        results = _profiled(args, lambda: run_cells(cells, workers=1,
-                                                    **hardening))
-        seq_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        par_results = run_cells(cells, workers=args.workers, spans=spans,
-                                **hardening)
-        par_wall = time.perf_counter() - start
-    else:
-        registry = PayloadRegistry()
-        completed = {}
-        if args.resume:
-            completed = restore_completed(
-                load_stream(args.resume, strict=args.strict), cells, registry
-            )
-            print(f"resumed {len(completed)} completed cell(s) "
-                  f"from {args.resume}")
-        start = time.perf_counter()
-        stream = stream_cells(cells, workers=args.workers,
-                              completed=completed, spans=spans, **hardening)
-        if args.stream_out:
-            results = []
-            # SIGTERM/SIGINT drain gracefully: the row in flight is
-            # flushed, a final manifest line records the interruption
-            # (load_stream skips manifest rows, so the stream stays
-            # --resume-able), and the process exits 128+signum.
-            with GracefulShutdown() as shutdown, \
-                    SweepStreamWriter(args.stream_out,
-                                      manifest=manifest) as writer:
-                for index, result in enumerate(stream):
-                    writer.write(
-                        result_to_row(index, cells[index], result, registry)
-                    )
-                    results.append(result)
-                    if shutdown.requested:
-                        writer.write(dict(manifest, interrupted={
-                            "signal": shutdown.signum,
-                            "rows_written": writer.rows_written,
-                            "cells_total": len(cells),
-                        }))
-                        break
-            if shutdown.requested:
-                print(f"interrupted by signal {shutdown.signum}: flushed "
-                      f"{len(results)} of {len(cells)} row(s) to "
-                      f"{args.stream_out}; resume with "
-                      f"--resume {args.stream_out}")
-                sys.exit(shutdown.exit_code)
-            print(f"streamed {len(results)} rows to {args.stream_out}")
-        else:
-            results = _profiled(args, lambda: list(stream))
-        seq_wall = time.perf_counter() - start
-    manifest["timings"] = {
-        "wall_seconds": seq_wall + (par_wall if throughput_mode else 0.0),
-        "cpu_seconds": None,
-    }
+    pool_stats: dict = {}
+    start = time.perf_counter()
+    with _graceful_drain(args) as shutdown:
+        results = _profiled(args, lambda: run_checkpointed(
+            cells, manifest, stream_out=args.stream_out,
+            resume=args.resume, strict=args.strict, shutdown=shutdown,
+            workers=args.workers, chunk_size=args.chunk_size,
+            timeout=args.cell_timeout, retries=args.cell_retries,
+            pool_stats=pool_stats, spans=spans,
+        ))
+    wall = time.perf_counter() - start
+    manifest["timings"] = {"wall_seconds": wall, "cpu_seconds": None}
     _finish_spans(span_writer, spans)
+    if args.resume:
+        print(f"resumed {pool_stats['resumed_cells']} completed "
+              f"cell(s) from {args.resume}")
+    _exit_if_interrupted(shutdown, results, cells, args.stream_out)
+    if args.stream_out:
+        print(f"streamed {len(results)} rows to {args.stream_out}")
 
     header = (f"{'config':<8} {'workload':<18} {'seed':>4} {'coverage':>9} "
               f"{'accuracy':>9} {'MPKI':>8}  fingerprint")
@@ -640,10 +454,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     total_branches = sum(result.branches for result in results)
     print(
         f"\n{len(results)} cells, {total_branches} branches: "
-        f"{seq_wall:.2f}s ({total_branches / seq_wall:,.0f} branches/s, "
-        f"workers={1 if throughput_mode else args.workers})"
+        f"{wall:.2f}s ({total_branches / wall:,.0f} branches/s, "
+        f"workers={args.workers})"
     )
-    if args.telemetry and args.telemetry_json:
+    if args.telemetry_json:
         _write_json(args.telemetry_json, {
             "schema": "repro-sweep-telemetry/v1",
             "manifest": manifest,
@@ -665,54 +479,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if failed:
         print(f"\n{failed} cell(s) failed; see FAILED rows above")
         sys.exit(1)
-    if not throughput_mode:
-        return
-    payload = _throughput_payload(cells, args.workers, results, seq_wall,
-                                  par_results, par_wall, args.workloads, args)
-    payload["manifest"] = manifest
-    print(
-        f"parallel (workers={args.workers}): {par_wall:.2f}s "
-        f"({payload['parallel']['branches_per_second']:,.0f} branches/s, "
-        f"speedup {payload['speedup']:.2f}x, "
-        f"equivalent={payload['equivalent']})"
-    )
-    for name, backend, mode, bps in _single_run_floors(payload):
-        print(f"single-run {name} [{backend}/{mode}]: {bps:,.0f} branches/s")
-    if not payload["equivalent"]:
-        print("FAIL: parallel results diverge from sequential")
-        sys.exit(1)
-    if args.json:
-        _write_json(args.json, payload)
-    if args.history:
-        from repro.obs.observatory import (
-            append_history,
-            history_row,
-            throughput_metrics,
-        )
-
-        append_history(args.history, history_row(
-            "throughput", throughput_metrics(payload), manifest=manifest,
-        ))
-        print(f"appended throughput history row to {args.history}")
-    if args.baseline:
-        failures = _check_baseline(payload, args.baseline, args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            sys.exit(1)
-        print(f"throughput within {args.max_regression:.0%} of baseline "
-              f"{args.baseline}")
 
 
 def cmd_fleet(args: argparse.Namespace) -> None:
-    for name in args.configs:
-        if name not in GENERATIONS:
-            known = ", ".join(GENERATIONS)
-            raise SystemExit(f"unknown config {name!r}; known: {known}")
-    for name in args.workloads:
-        if name not in STANDARD_WORKLOADS:
-            known = ", ".join(sorted(STANDARD_WORKLOADS))
-            raise SystemExit(f"unknown workload {name!r}; known: {known}")
+    _check_grid_names(args.configs, args.workloads)
     seeds = list(range(1, args.seed_count + 1))
     fault_rates = [0.0] + ([args.fault_rate] if args.fault_rate > 0 else [])
     cells = build_fleet_grid(
@@ -747,11 +517,7 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         for cell in cells:
             cell.telemetry = True
     span_writer, spans = _span_tracer(args, "fleet")
-    # Graceful-drain is only meaningful when rows are being
-    # checkpointed; without --stream-out the default signal behaviour
-    # (abort) is the right one.
-    shutdown = GracefulShutdown() if args.stream_out else None
-    with (shutdown if shutdown is not None else contextlib.nullcontext()):
+    with _graceful_drain(args) as shutdown:
         payload, seq_results, par_results = run_fleet(
             cells,
             workers=args.workers,
@@ -766,11 +532,7 @@ def cmd_fleet(args: argparse.Namespace) -> None:
             shutdown=shutdown,
         )
     _finish_spans(span_writer, spans)
-    if shutdown is not None and shutdown.requested:
-        print(f"interrupted by signal {shutdown.signum}: flushed "
-              f"{len(par_results)} of {len(cells)} parallel row(s) to "
-              f"{args.stream_out}; resume with --resume {args.stream_out}")
-        sys.exit(shutdown.exit_code)
+    _exit_if_interrupted(shutdown, par_results, cells, args.stream_out)
     print(f"sequential: {payload['sequential']['wall_seconds']:.2f}s "
           f"({payload['sequential']['branches_per_second']:,.0f} branches/s)")
     print(f"parallel (workers={args.workers}, chunk={args.chunk_size}): "
@@ -1102,10 +864,7 @@ def cmd_loadgen(args: argparse.Namespace) -> None:
     from repro.obs.manifest import build_manifest
     from repro.serve import LoadGenerator, TenantPlan
 
-    for name in args.workloads:
-        if name not in STANDARD_WORKLOADS:
-            known = ", ".join(sorted(STANDARD_WORKLOADS))
-            raise SystemExit(f"unknown workload {name!r}; known: {known}")
+    _check_grid_names(workloads=args.workloads)
     plans = [
         TenantPlan(
             f"{args.tenant_prefix}{index}",
@@ -1195,6 +954,55 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
 def cmd_workloads(_args: argparse.Namespace) -> None:
     for spec in STANDARD_WORKLOADS.values():
         print(f"{spec.name:<20} {spec.description}")
+
+
+def _grid_options() -> argparse.ArgumentParser:
+    """The options ``sweep`` and ``fleet`` share, as an argparse parent.
+
+    Built fresh for each command: parents share their action objects,
+    so one command's ``set_defaults(workers=...)`` would otherwise
+    rewrite the other's default."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--configs", nargs="*", metavar="GEN",
+                        default=list(GENERATIONS),
+                        help="generation presets (default: all four)")
+    parser.add_argument("--workers", type=int,
+                        help="warm worker processes (default %(default)s)")
+    parser.add_argument("--chunk-size", type=int,
+                        help="cells per warm-worker dispatch (default "
+                             "%(default)s; larger chunks amortise pool "
+                             "round-trips on big grids)")
+    parser.add_argument("--cell-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-cell attempt timeout; a hung worker is "
+                             "terminated and the cell retried (default: "
+                             "unbounded)")
+    parser.add_argument("--cell-retries", type=int, default=1,
+                        help="re-attempts for a failing cell before its "
+                             "slot becomes an error row (default 1)")
+    parser.add_argument("--stream-out", metavar="PATH",
+                        help="checkpoint each (parallel) result row to this "
+                             "JSONL file as it completes (submission "
+                             "order; resumable with --resume)")
+    parser.add_argument("--resume", metavar="PATH",
+                        help="resume from a partial --stream-out file: "
+                             "completed cells are not re-run")
+    parser.add_argument("--strict", action="store_true",
+                        help="refuse a torn final line in the --resume "
+                             "stream instead of silently dropping it")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="attach a telemetry session to every cell "
+                             "(results are unchanged; registries ride back "
+                             "on the results)")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write per-(backend, engine-mode, workload) "
+                             "telemetry rollups as OpenMetrics text "
+                             "(implies --telemetry)")
+    parser.add_argument("--spans-out", metavar="PATH",
+                        help="write (parallel) pool phase spans "
+                             "(serialize/transfer/execute/merge) as JSONL "
+                             "(repro-spans/v1)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1312,12 +1120,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.set_defaults(func=cmd_verify_diff)
 
     sweep_parser = sub.add_parser(
-        "sweep",
-        help="parallel (config x workload x seed) sweep with optional "
-             "throughput report")
-    sweep_parser.add_argument("--configs", nargs="*", metavar="GEN",
-                              default=list(GENERATIONS),
-                              help="generation presets (default: all four)")
+        "sweep", parents=[_grid_options()],
+        help="parallel (config x workload x seed) sweep, checkpointable "
+             "to a resumable stream")
+    sweep_parser.set_defaults(workers=1, chunk_size=1)
     sweep_parser.add_argument("--workloads", nargs="*", metavar="NAME",
                               default=["compute-kernel", "transactions"])
     sweep_parser.add_argument("--seeds", nargs="*", type=int, default=[1])
@@ -1331,80 +1137,23 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default reference)")
     sweep_parser.add_argument("--branches", type=int, default=6_000)
     sweep_parser.add_argument("--warmup", type=int, default=2_000)
-    sweep_parser.add_argument("--workers", type=int, default=1)
     sweep_parser.add_argument("--profile", action="store_true",
-                              help="run the sequential pass under cProfile "
-                                   "and print the top-N table")
+                              help="run the sweep under cProfile and print "
+                                   "the top-N table")
     sweep_parser.add_argument("--profile-top", type=int, default=15,
                               metavar="N",
                               help="rows per cProfile table (default 15)")
-    sweep_parser.add_argument("--throughput", action="store_true",
-                              help="also time the grid sequentially vs "
-                                   "parallel and print single-run numbers")
-    sweep_parser.add_argument("--json", metavar="PATH",
-                              help="write the throughput report (implies "
-                                   "--throughput)")
-    sweep_parser.add_argument("--baseline", metavar="PATH",
-                              help="committed throughput baseline to compare "
-                                   "against (implies --throughput)")
-    sweep_parser.add_argument("--max-regression", type=float, default=0.30,
-                              help="fail if throughput drops more than this "
-                                   "fraction below the baseline (default 0.30)")
-    sweep_parser.add_argument("--telemetry", action="store_true",
-                              help="attach a telemetry session to every cell "
-                                   "(results are unchanged; registries ride "
-                                   "back on the results)")
     sweep_parser.add_argument("--telemetry-json", metavar="PATH",
                               help="write every cell's telemetry registry "
-                                   "as JSON (with --telemetry)")
-    sweep_parser.add_argument("--cell-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="per-cell attempt timeout; a hung worker "
-                                   "is terminated and the cell retried "
-                                   "(default: unbounded)")
-    sweep_parser.add_argument("--cell-retries", type=int, default=1,
-                              help="re-attempts for a failing cell before "
-                                   "its slot becomes an error row "
-                                   "(default 1)")
-    sweep_parser.add_argument("--chunk-size", type=int, default=1,
-                              help="cells per warm-worker dispatch "
-                                   "(default 1; larger chunks amortise "
-                                   "pool round-trips on big grids)")
-    sweep_parser.add_argument("--stream-out", metavar="PATH",
-                              help="checkpoint each result row to this "
-                                   "JSONL file as it completes (submission "
-                                   "order; resumable with --resume)")
-    sweep_parser.add_argument("--resume", metavar="PATH",
-                              help="resume a killed sweep from its partial "
-                                   "--stream-out file: completed cells are "
-                                   "not re-run")
-    sweep_parser.add_argument("--strict", action="store_true",
-                              help="refuse a torn final line in the "
-                                   "--resume stream instead of silently "
-                                   "dropping it")
-    sweep_parser.add_argument("--metrics-out", metavar="PATH",
-                              help="write per-(backend, engine-mode, "
-                                   "workload) telemetry rollups as "
-                                   "OpenMetrics text (implies --telemetry)")
-    sweep_parser.add_argument("--spans-out", metavar="PATH",
-                              help="write pool phase spans "
-                                   "(serialize/transfer/execute/merge) as "
-                                   "JSONL (repro-spans/v1)")
-    sweep_parser.add_argument("--history", metavar="PATH",
-                              help="append a throughput bench-history row "
-                                   "to this JSONL (implies --throughput; "
-                                   "repro report renders trend deltas "
-                                   "from it)")
+                                   "as JSON (implies --telemetry)")
     sweep_parser.set_defaults(func=cmd_sweep)
 
     fleet_parser = sub.add_parser(
-        "fleet",
+        "fleet", parents=[_grid_options()],
         help="fleet-scale (config x workload x seed x fault-plan x "
-             "backend) sweep; emits the merged BENCH_fleet.json artifact "
-             "with a measured sequential-vs-parallel speedup")
-    fleet_parser.add_argument("--configs", nargs="*", metavar="GEN",
-                              default=list(GENERATIONS),
-                              help="generation presets (default: all four)")
+             "backend) sweep run sequentially and in parallel; emits the "
+             "merged repro-fleet/v1 payload with the measured speedup")
+    fleet_parser.set_defaults(workers=2, chunk_size=16)
     fleet_parser.add_argument("--workloads", nargs="*", metavar="NAME",
                               default=["compute-kernel", "transactions",
                                        "dispatch", "patterned"])
@@ -1427,40 +1176,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "default 0.01)")
     fleet_parser.add_argument("--branches", type=int, default=300)
     fleet_parser.add_argument("--warmup", type=int, default=100)
-    fleet_parser.add_argument("--workers", type=int, default=2)
-    fleet_parser.add_argument("--chunk-size", type=int, default=16,
-                              help="cells per warm-worker dispatch "
-                                   "(default 16)")
-    fleet_parser.add_argument("--cell-timeout", type=float, default=None,
-                              metavar="SECONDS")
-    fleet_parser.add_argument("--cell-retries", type=int, default=1)
     fleet_parser.add_argument("--json", metavar="PATH",
-                              help="write the merged BENCH_fleet report")
-    fleet_parser.add_argument("--stream-out", metavar="PATH",
-                              help="checkpoint the parallel pass's rows to "
-                                   "this JSONL file as they complete")
-    fleet_parser.add_argument("--strict", action="store_true",
-                              help="refuse a torn final line in the "
-                                   "--resume stream instead of silently "
-                                   "dropping it")
-    fleet_parser.add_argument("--resume", metavar="PATH",
-                              help="resume the parallel pass from a partial "
-                                   "--stream-out file")
+                              help="write the merged repro-fleet/v1 "
+                                   "payload")
     fleet_parser.add_argument("--require-speedup", type=float, default=None,
                               metavar="X",
                               help="exit 1 unless speedup >= X (enforced "
                                    "only with >= 2 cores and >= 2 workers; "
                                    "the CI gate)")
-    fleet_parser.add_argument("--telemetry", action="store_true",
-                              help="attach a telemetry session to every "
-                                   "cell (results unchanged)")
-    fleet_parser.add_argument("--metrics-out", metavar="PATH",
-                              help="write per-(backend, engine-mode, "
-                                   "workload) telemetry rollups as "
-                                   "OpenMetrics text (implies --telemetry)")
-    fleet_parser.add_argument("--spans-out", metavar="PATH",
-                              help="write the parallel pass's pool phase "
-                                   "spans as JSONL (repro-spans/v1)")
     fleet_parser.add_argument("--history", metavar="PATH",
                               help="append a fleet bench-history row to "
                                    "this JSONL (repro report renders trend "

@@ -40,6 +40,7 @@ from repro.engine.stream import (
     restore_completed,
     result_to_row,
     row_to_result,
+    run_checkpointed,
 )
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
     "restore_completed",
     "result_to_row",
     "row_to_result",
+    "run_checkpointed",
     "build_fleet_grid",
     "run_fleet",
     "ENGINE_MODES",

@@ -6,13 +6,15 @@ independent cells.  This module builds that grid — sharing each
 workload Program across every cell that uses it, so the serialize-once
 registry ships it to each worker exactly once — and runs it twice
 (sequential reference, then warm-pool parallel) to produce the merged
-``BENCH_fleet.json`` artifact: throughput both ways, the measured
+``repro-fleet/v1`` payload: throughput both ways, the measured
 speedup, and the byte-identical equivalence verdict that makes the
-speedup trustworthy.
+speedup trustworthy.  It is the only path that times sequential
+against parallel; performance numbers themselves come from
+``perfbench/``.
 
 ``python -m repro fleet`` is the CLI front end; the CI fleet-smoke job
-runs a reduced grid and gates on ``speedup >= 1.0`` whenever the runner
-has at least two cores.
+runs a reduced grid, fails unless the two passes are equivalent, and
+gates on ``speedup >= 1.0`` whenever the runner has at least two cores.
 """
 
 from __future__ import annotations
@@ -22,19 +24,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.configs import GENERATIONS
-from repro.engine.parallel import (
-    CellError,
-    PayloadRegistry,
-    SweepCell,
-    run_cells,
-    stream_cells,
-)
-from repro.engine.stream import (
-    SweepStreamWriter,
-    load_stream,
-    restore_completed,
-    result_to_row,
-)
+from repro.engine.parallel import CellError, SweepCell, run_cells
+from repro.engine.stream import run_checkpointed
 from repro.workloads import get_workload
 
 #: Default workload axis: two dense kernels, a branchy dispatcher and a
@@ -142,24 +133,21 @@ def run_fleet(
     shutdown=None,
 ) -> Tuple[dict, list, list]:
     """Run the fleet grid sequentially and in parallel; return the
-    merged ``BENCH_fleet.json`` payload plus both result lists.
+    merged ``repro-fleet/v1`` payload plus both result lists.
 
     The sequential pass is the reference for both timing (speedup
     denominator) and correctness (the parallel pass must match it
-    fingerprint-for-fingerprint).  ``stream_out`` checkpoints the
-    parallel pass's rows to JSONL as they complete (with the fleet's
+    fingerprint-for-fingerprint).  The parallel pass runs through
+    :func:`~repro.engine.stream.run_checkpointed`: ``stream_out``
+    checkpoints its rows to JSONL as they complete (with the fleet's
     run manifest embedded as the first line); ``resume`` pre-loads
     such a stream, skipping its completed cells (*strict* makes a torn
     resume tail an error instead of silently dropping it; the reported
-    parallel
-    wall then covers only the remaining work — ``resumed_cells`` in the
-    payload says how many rows were inherited).  *spans*, when given a
-    :class:`~repro.obs.spans.SpanTracer`, traces the parallel pass's
+    parallel wall then covers only the remaining work —
+    ``resumed_cells`` in the payload says how many rows were
+    inherited); *shutdown* drains it on a signal.  *spans*, when given
+    a :class:`~repro.obs.spans.SpanTracer`, traces the parallel pass's
     pool lifecycle (see :func:`~repro.engine.parallel.stream_cells`).
-    *shutdown* (a :class:`~repro.common.signals.GracefulShutdown`) is
-    polled between streamed rows: when it fires, the row in flight is
-    flushed, a trailing manifest line records the interruption, and the
-    partial results are returned for the caller to exit ``128+signum``.
     """
     from repro.obs.manifest import build_manifest
 
@@ -171,13 +159,7 @@ def run_fleet(
                             **hardening)
     seq_wall = time.perf_counter() - start
 
-    registry = PayloadRegistry()
-    completed: dict = {}
-    if resume:
-        completed = restore_completed(load_stream(resume, strict=strict),
-                                      cells, registry)
     par_stats: dict = {}
-    par_results: list = []
     grid = dict(grid_info or {}, cells=len(cells))
     manifest = build_manifest(
         "fleet",
@@ -185,28 +167,12 @@ def run_fleet(
         extra={"workers": workers, "chunk_size": chunk_size},
     )
     start = time.perf_counter()
-    stream = stream_cells(cells, workers=workers, chunk_size=chunk_size,
-                          completed=completed, pool_stats=par_stats,
-                          spans=spans, **hardening)
-    if stream_out:
-        with SweepStreamWriter(stream_out, manifest=manifest) as writer:
-            for index, result in enumerate(stream):
-                writer.write(result_to_row(index, cells[index], result,
-                                           registry))
-                par_results.append(result)
-                # Graceful drain: flush the row in flight, stamp the
-                # interruption into a trailing manifest line (loaders
-                # skip manifest rows, so the stream stays resumable)
-                # and stop dispatching.  The caller owns the exit code.
-                if shutdown is not None and shutdown.requested:
-                    writer.write(dict(manifest, interrupted={
-                        "signal": shutdown.signum,
-                        "rows_written": writer.rows_written,
-                        "cells_total": len(cells),
-                    }))
-                    break
-    else:
-        par_results = list(stream)
+    par_results = run_checkpointed(
+        cells, manifest, stream_out=stream_out, resume=resume,
+        strict=strict, shutdown=shutdown, workers=workers,
+        chunk_size=chunk_size, pool_stats=par_stats, spans=spans,
+        **hardening,
+    )
     par_wall = time.perf_counter() - start
 
     total_branches = sum(cell.branches + cell.warmup for cell in cells)

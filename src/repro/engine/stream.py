@@ -22,6 +22,8 @@ around that contract:
   being resumed (every row must sit at its submission index and match
   the cell's content fingerprint) and returns the ``completed`` mapping
   ``stream_cells`` accepts.
+* :func:`run_checkpointed` — the one resume → run → checkpoint → drain
+  loop that ``repro sweep`` and the fleet's parallel pass share.
 
 The determinism contract extends through the stream: resuming a killed
 sweep from its partial stream produces the identical merged result set
@@ -44,6 +46,7 @@ from repro.engine.parallel import (
     SweepCell,
     SweepResult,
     cell_fingerprint,
+    stream_cells,
 )
 
 STREAM_SCHEMA = "repro-sweep-stream/v1"
@@ -341,3 +344,50 @@ def restore_completed(
         seen[index] = row["fingerprint"]
         completed[index] = row_to_result(row)
     return completed
+
+
+def run_checkpointed(
+    cells: Sequence[SweepCell],
+    manifest: dict,
+    stream_out: Optional[str] = None,
+    resume: Optional[str] = None,
+    strict: bool = False,
+    shutdown=None,
+    **options,
+) -> List[Union[SweepResult, CellError]]:
+    """Run *cells* through :func:`~repro.engine.parallel.stream_cells`,
+    resuming from and checkpointing to JSONL streams; return the
+    results in cell order.
+
+    *resume* pre-loads a previous partial stream (*strict* makes its
+    torn tail an error), whose cells are not re-run.  *stream_out*
+    writes every row as it completes behind *manifest* as the first
+    line.  *shutdown* (a :class:`~repro.common.signals.GracefulShutdown`)
+    is polled between streamed rows: when it fires, the row in flight
+    is flushed, a trailing manifest line records the interruption
+    (loaders skip manifest rows, so the stream stays resumable) and the
+    partial results are returned for the caller to exit ``128+signum``.
+    The remaining *options* (``workers``, ``chunk_size``, ``timeout``,
+    ``retries``, ``pool_stats``, ``spans``) go to ``stream_cells``.
+    """
+    registry = PayloadRegistry()
+    completed: Dict[int, Union[SweepResult, CellError]] = {}
+    if resume:
+        completed = restore_completed(load_stream(resume, strict=strict),
+                                      cells, registry)
+    stream = stream_cells(cells, completed=completed, **options)
+    if not stream_out:
+        return list(stream)
+    results: List[Union[SweepResult, CellError]] = []
+    with SweepStreamWriter(stream_out, manifest=manifest) as writer:
+        for index, result in enumerate(stream):
+            writer.write(result_to_row(index, cells[index], result, registry))
+            results.append(result)
+            if shutdown is not None and shutdown.requested:
+                writer.write(dict(manifest, interrupted={
+                    "signal": shutdown.signum,
+                    "rows_written": writer.rows_written,
+                    "cells_total": len(cells),
+                }))
+                break
+    return results

@@ -1,24 +1,22 @@
 """The ``repro report`` observatory: artifact ingestion and dashboards.
 
-Every earlier PR left a machine-readable artifact behind —
-``BENCH_throughput.json`` (``repro-throughput/v3``), ``BENCH_fleet.json``
-(``repro-fleet/v1``), sweep checkpoint streams
-(``repro-sweep-stream/v1``), branch traces (``repro-trace/v1``) — and
-this PR adds manifests (``repro-manifest/v1``), span files
-(``repro-spans/v1``) and a bench-history JSONL
-(:data:`HISTORY_SCHEMA`).  The observatory is the read side: it
-classifies artifacts by probing their schema tags, aggregates them, and
-renders one markdown dashboard with
+The observatory classifies the machine-readable artifacts the CLI
+leaves behind — fleet payloads (``repro-fleet/v1``), sweep checkpoint
+streams (``repro-sweep-stream/v1``), branch traces (``repro-trace/v1``),
+run manifests (``repro-manifest/v1``), span files (``repro-spans/v1``)
+and the bench-history JSONL (:data:`HISTORY_SCHEMA`) — by probing their
+schema tags, aggregates them, and renders one markdown dashboard with
 
-* throughput headlines and **trend deltas** against the previous
-  history entry (regressions highlighted);
-* fleet rollups per backend / engine mode / workload;
+* fleet headlines and rollups per backend / engine mode / workload,
+  with **trend deltas** against the previous fleet history entry
+  (regressions highlighted);
 * sweep-stream summaries rolled up per (backend, engine mode) with
   failure counts;
 * run manifests (what ran where), and span phase-latency percentiles.
 
 Nothing here executes the simulator; the observatory is pure file
 reading, so it can run over artifacts from any machine or CI job.
+Benchmark numbers come from ``perfbench/``, not from here.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ REGRESSION_THRESHOLD = -0.05
 
 #: Artifact schema tag -> observatory kind.
 _SCHEMA_KINDS = {
-    "repro-throughput/v3": "throughput",
     "repro-fleet/v1": "fleet",
     MANIFEST_SCHEMA: "manifest",
     "repro-sweep-stream/v1": "stream",
@@ -105,26 +102,6 @@ def load_history(path: str, strict: bool = False) -> List[Dict[str, object]]:
             )
         rows.append(row)
     return rows
-
-
-def throughput_metrics(payload: Dict[str, object]) -> Dict[str, float]:
-    """Flatten a throughput artifact to dotted metric names."""
-    metrics: Dict[str, float] = {}
-    sequential = payload.get("sequential") or {}
-    parallel = payload.get("parallel") or {}
-    if "branches_per_second" in sequential:
-        metrics["sweep.sequential.bps"] = sequential["branches_per_second"]
-    if "branches_per_second" in parallel:
-        metrics["sweep.parallel.bps"] = parallel["branches_per_second"]
-    if payload.get("speedup") is not None:
-        metrics["sweep.speedup"] = payload["speedup"]
-    for workload, backends in (payload.get("single_run") or {}).items():
-        for backend, modes in backends.items():
-            for mode, cell in modes.items():
-                metrics[f"single.{workload}.{backend}.{mode}.bps"] = (
-                    cell["branches_per_second"]
-                )
-    return metrics
 
 
 def fleet_metrics(payload: Dict[str, object]) -> Dict[str, float]:
@@ -251,49 +228,6 @@ def _fmt(value, digits: int = 1) -> str:
 def _delta_cell(change: float) -> str:
     mark = " ⚠" if change <= REGRESSION_THRESHOLD else ""
     return f"{change:+.1%}{mark}"
-
-
-def _throughput_section(paths: List[str],
-                        history: List[Dict]) -> List[str]:
-    lines = ["## Throughput"]
-    for path in paths:
-        payload = _load_json(path)
-        lines.append(f"\n`{os.path.basename(path)}` — backend "
-                     f"`{payload.get('backend')}`, engine mode "
-                     f"`{payload.get('engine_mode')}`, "
-                     f"{_fmt(payload.get('cpu_count'), 0)} cpus")
-        sequential = payload.get("sequential") or {}
-        parallel = payload.get("parallel") or {}
-        lines.append("")
-        lines.append("| metric | value |")
-        lines.append("|---|---|")
-        lines.append(f"| sequential sweep bps | "
-                     f"{_fmt(sequential.get('branches_per_second'))} |")
-        lines.append(f"| parallel sweep bps | "
-                     f"{_fmt(parallel.get('branches_per_second'))} |")
-        lines.append(f"| speedup | {_fmt(payload.get('speedup'), 2)}x |")
-        single = payload.get("single_run") or {}
-        if single:
-            lines.append("")
-            lines.append("| workload | backend | mode | bps |")
-            lines.append("|---|---|---|---|")
-            for workload in sorted(single):
-                for backend in sorted(single[workload]):
-                    for mode in sorted(single[workload][backend]):
-                        bps = single[workload][backend][mode][
-                            "branches_per_second"]
-                        lines.append(f"| {workload} | {backend} | {mode} "
-                                     f"| {_fmt(bps)} |")
-    deltas = trend_deltas(history, "throughput")
-    if deltas:
-        lines.append("\n### Trend vs previous run")
-        lines.append("")
-        lines.append("| metric | previous | latest | delta |")
-        lines.append("|---|---|---|---|")
-        for metric, before, after, change in deltas:
-            lines.append(f"| {metric} | {_fmt(before)} | {_fmt(after)} "
-                         f"| {_delta_cell(change)} |")
-    return lines
 
 
 def _fleet_section(paths: List[str], history: List[Dict]) -> List[str]:
@@ -468,18 +402,15 @@ def _spans_section(paths: List[str], strict: bool = False) -> List[str]:
 
 
 def _regression_section(history: List[Dict]) -> List[str]:
-    flagged = []
-    for kind in ("throughput", "fleet"):
-        for metric, before, after, change in trend_deltas(history, kind):
-            if change <= REGRESSION_THRESHOLD:
-                flagged.append((kind, metric, before, after, change))
+    flagged = [delta for delta in trend_deltas(history, "fleet")
+               if delta[3] <= REGRESSION_THRESHOLD]
     if not flagged:
         return []
     lines = ["## ⚠ Regressions", ""]
-    lines.append("| source | metric | previous | latest | delta |")
-    lines.append("|---|---|---|---|---|")
-    for kind, metric, before, after, change in flagged:
-        lines.append(f"| {kind} | {metric} | {_fmt(before)} "
+    lines.append("| metric | previous | latest | delta |")
+    lines.append("|---|---|---|---|")
+    for metric, before, after, change in flagged:
+        lines.append(f"| {metric} | {_fmt(before)} "
                      f"| {_fmt(after)} | {change:+.1%} |")
     return lines
 
@@ -503,12 +434,9 @@ def render_dashboard(artifacts: Dict[str, List[str]],
     regressions = _regression_section(history)
     if regressions:
         sections.append(regressions)
-    if artifacts.get("throughput"):
-        sections.append(
-            _throughput_section(artifacts["throughput"], history)
-        )
-    if artifacts.get("fleet"):
-        sections.append(_fleet_section(artifacts["fleet"], history))
+    if artifacts.get("fleet") or any(row.get("kind") == "fleet"
+                                     for row in history):
+        sections.append(_fleet_section(artifacts.get("fleet", []), history))
     if artifacts.get("stream"):
         sections.append(_stream_section(artifacts["stream"],
                                         strict=strict))
@@ -533,6 +461,5 @@ __all__ = [
     "history_row",
     "load_history",
     "render_dashboard",
-    "throughput_metrics",
     "trend_deltas",
 ]

@@ -29,6 +29,7 @@ from repro.engine.stream import (
     restore_completed,
     result_to_row,
     row_to_result,
+    run_checkpointed,
 )
 
 from tests.conftest import build_medium_program, small_predictor_config
@@ -252,6 +253,34 @@ def test_fully_streamed_sweep_resumes_to_a_no_op(tmp_path):
 
 def _forbidden_rerun(spec):
     raise RuntimeError("fully-checkpointed sweep must not re-run cells")
+
+
+def test_signalled_run_drains_then_resumes_to_the_full_result(tmp_path):
+    from repro.common.signals import GracefulShutdown
+    from repro.obs.manifest import build_manifest
+
+    cells = _cells()
+    reference = run_cells(copy.deepcopy(cells), workers=1)
+    path = str(tmp_path / "stream.jsonl")
+    manifest = build_manifest("sweep", grid={"cells": len(cells)})
+    shutdown = GracefulShutdown()
+    shutdown.request(15)  # arrives while the first row is in flight
+    partial = run_checkpointed(copy.deepcopy(cells), manifest,
+                               stream_out=path, shutdown=shutdown)
+    # The row in flight is flushed, then a manifest line records why
+    # the stream stops there; loaders skip it, so the stream resumes.
+    assert len(partial) == 1
+    last = json.loads(open(path).read().splitlines()[-1])
+    assert last["interrupted"] == {"signal": 15, "rows_written": 1,
+                                   "cells_total": len(cells)}
+    assert len(load_stream(path)) == 1
+    stats: dict = {}
+    resumed = run_checkpointed(cells, manifest, resume=path,
+                               pool_stats=stats, workers=2)
+    assert stats["resumed_cells"] == 1
+    assert [r.fingerprint for r in resumed] == [
+        r.fingerprint for r in reference
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -88,12 +88,55 @@ def test_unknown_predictor(capsys):
         run_cli(capsys, "run", "patterned", "--predictor", "bogus")
 
 
+GENERATION_NAMES = ["zEC12", "z13", "z14", "z15"]
+
+#: Every default of the commands whose options are shared or refactored:
+#: a parser change that moves one shows up here.
+DEFAULTS = {
+    "run": {
+        "workload": "transactions", "predictor": "z15", "backend": "object",
+        "branches": 30_000, "warmup": 10_000, "seed": 1,
+        "engine_mode": "reference", "hot_branches": False,
+        "profile": False, "profile_top": 15, "telemetry": False,
+        "trace_out": None, "interval": 2_000, "stats_json": None,
+        "metrics_out": None, "spans_out": None, "save_state": None,
+        "load_state": None,
+    },
+    "sweep": {
+        "configs": GENERATION_NAMES,
+        "workloads": ["compute-kernel", "transactions"], "seeds": [1],
+        "backend": "object", "engine_mode": "reference", "branches": 6_000,
+        "warmup": 2_000, "workers": 1, "chunk_size": 1, "profile": False,
+        "profile_top": 15, "telemetry": False, "telemetry_json": None,
+        "cell_timeout": None, "cell_retries": 1, "stream_out": None,
+        "resume": None, "strict": False, "metrics_out": None,
+        "spans_out": None,
+    },
+    "fleet": {
+        "configs": GENERATION_NAMES,
+        "workloads": ["compute-kernel", "transactions", "dispatch",
+                      "patterned"],
+        "seed_count": 8, "backends": ["object", "array"],
+        "engine_modes": ["reference"], "fault_rate": 0.01, "branches": 300,
+        "warmup": 100, "workers": 2, "chunk_size": 16, "cell_timeout": None,
+        "cell_retries": 1, "json": None, "stream_out": None,
+        "strict": False, "resume": None, "require_speedup": None,
+        "telemetry": False, "metrics_out": None, "spans_out": None,
+        "history": None,
+    },
+}
+
+
 def test_parser_structure():
     parser = build_parser()
     for command in ("run", "compare", "cycles", "verify", "workloads"):
         args = parser.parse_args([command] if command != "run"
                                  else ["run", "patterned"])
         assert args.command == command
+    for command, defaults in DEFAULTS.items():
+        args = vars(parser.parse_args([command]))
+        del args["func"]
+        assert args == dict(defaults, command=command)
 
 
 def test_state_save_and_load_roundtrip(capsys, tmp_path):
@@ -174,13 +217,15 @@ def test_trace_validate_requires_trace_out(capsys):
                 "200", "--validate")
 
 
-def test_sweep_telemetry_json(capsys, tmp_path):
+@pytest.mark.parametrize("flags", [["--telemetry"], []],
+                         ids=["with-telemetry", "implied"])
+def test_sweep_telemetry_json(capsys, tmp_path, flags):
     import json
 
     path = str(tmp_path / "sweep-telemetry.json")
     out = run_cli(capsys, "sweep", "--configs", "z15", "--workloads",
                   "compute-kernel", "--branches", "800", "--warmup", "200",
-                  "--telemetry", "--telemetry-json", path)
+                  *flags, "--telemetry-json", path)
     assert "fingerprint" in out
     payload = json.load(open(path))
     assert payload["schema"] == "repro-sweep-telemetry/v1"
@@ -376,16 +421,57 @@ def test_export_rejects_telemetry_free_stream(capsys, tmp_path):
         run_cli(capsys, "export", stream)
 
 
-def test_sweep_history_and_report_dashboard(capsys, tmp_path):
+def test_sweep_rejects_retired_throughput_flags(capsys):
+    for flags in (["--throughput"], ["--baseline", "x.json"]):
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", *flags])
+        assert caught.value.code == 2
+
+
+#: The smallest fleet grid: one cell, run sequentially and in parallel.
+TINY_FLEET = ("fleet", "--configs", "z15", "--workloads", "patterned",
+              "--seed-count", "1", "--backends", "object", "--fault-rate",
+              "0", "--branches", "300", "--warmup", "100", "--workers", "2")
+
+
+def test_fleet_json_payload(capsys, tmp_path):
+    import json
+
+    path = tmp_path / "fleet.json"
+    out = run_cli(capsys, *TINY_FLEET, "--json", str(path))
+    assert "equivalent=True" in out
+    payload = json.loads(path.read_text())
+    assert payload["schema"] == "repro-fleet/v1"
+    assert payload["equivalent"] is True
+    assert payload["failed_cells"] == 0
+    assert payload["grid"]["cells"] == 1
+
+
+def test_fleet_history_and_report_dashboard(capsys, tmp_path):
     history = str(tmp_path / "history.jsonl")
     for _ in range(2):
-        run_cli(capsys, "sweep", "--configs", "z15", "--workloads",
-                "transactions", "--seeds", "1", "--branches", "500",
-                "--warmup", "100", "--history", history)
+        run_cli(capsys, *TINY_FLEET, "--history", history)
     out = run_cli(capsys, "report", str(tmp_path), "--title", "cli smoke")
     assert out.startswith("# cli smoke")
-    assert "history" in out
-    assert "vs previous" in out or "Regressions" in out
+    assert "1 history" in out
+    assert "## Fleet" in out
+    assert "Trend vs previous run" in out
+    assert "fleet.sequential.bps" in out
+
+
+def test_fleet_resume_inherits_every_cell(capsys, tmp_path):
+    import json
+
+    from repro.engine.stream import load_stream
+
+    stream = str(tmp_path / "fleet.jsonl")
+    run_cli(capsys, *TINY_FLEET, "--stream-out", stream)
+    rows = load_stream(stream)
+    path = tmp_path / "resumed.json"
+    run_cli(capsys, *TINY_FLEET, "--resume", stream, "--json", str(path))
+    payload = json.loads(path.read_text())
+    assert payload["resumed_cells"] == len(rows) == 1
+    assert payload["equivalent"] is True
 
 
 def test_report_writes_markdown_file(capsys, tmp_path):

@@ -15,31 +15,8 @@ from repro.obs.observatory import (
     history_row,
     load_history,
     render_dashboard,
-    throughput_metrics,
     trend_deltas,
 )
-
-THROUGHPUT = {
-    "schema": "repro-throughput/v3",
-    "backend": "object",
-    "engine_mode": "reference",
-    "cpu_count": 4,
-    "grid": {"cells": 8},
-    "sequential": {"wall_seconds": 1.0, "branches_per_second": 10_000.0},
-    "parallel": {"workers": 2, "wall_seconds": 0.5,
-                 "branches_per_second": 20_000.0},
-    "speedup": 2.0,
-    "equivalent": True,
-    "workloads": {},
-    "single_run": {
-        "transactions": {
-            "object": {
-                "reference": {"branches_per_second": 30_000.0},
-                "fast": {"branches_per_second": 45_000.0},
-            },
-        },
-    },
-}
 
 FLEET = {
     "schema": "repro-fleet/v1",
@@ -80,12 +57,6 @@ def scaled(payload, factor):
 
 
 class TestMetrics:
-    def test_throughput_metrics_flatten(self):
-        metrics = throughput_metrics(THROUGHPUT)
-        assert metrics["sweep.sequential.bps"] == 10_000.0
-        assert metrics["sweep.speedup"] == 2.0
-        assert metrics["single.transactions.object.fast.bps"] == 45_000.0
-
     def test_fleet_metrics_flatten_rollups(self):
         metrics = fleet_metrics(FLEET)
         assert metrics["fleet.parallel.bps"] == 16_000.0
@@ -98,11 +69,11 @@ class TestHistory:
         path = str(tmp_path / "history.jsonl")
         manifest = build_manifest("bench")
         append_history(path, history_row(
-            "throughput", throughput_metrics(THROUGHPUT),
+            "fleet", fleet_metrics(FLEET),
             manifest=manifest, label="nightly"))
         (row,) = load_history(path)
         assert row["schema"] == HISTORY_SCHEMA
-        assert row["kind"] == "throughput"
+        assert row["kind"] == "fleet"
         assert row["label"] == "nightly"
         assert row["manifest"]["kind"] == "bench"
 
@@ -127,25 +98,22 @@ class TestHistory:
 
     def test_trend_deltas_use_newest_pair(self, tmp_path):
         history = [
-            history_row("throughput", {"x.bps": 100.0}),
-            history_row("throughput", {"x.bps": 200.0}),
-            history_row("fleet", {"y.bps": 1.0}),
-            history_row("throughput", {"x.bps": 150.0}),
+            history_row("fleet", {"x.bps": 100.0}),
+            history_row("fleet", {"x.bps": 200.0}),
+            history_row("bench", {"y.bps": 1.0}),
+            history_row("fleet", {"x.bps": 150.0}),
         ]
-        (delta,) = trend_deltas(history, "throughput")
+        (delta,) = trend_deltas(history, "fleet")
         metric, before, after, change = delta
         assert (metric, before, after) == ("x.bps", 200.0, 150.0)
         assert change == pytest.approx(-0.25)
-        assert trend_deltas(history, "fleet") == []  # only one row
+        assert trend_deltas(history, "bench") == []  # only one row
 
 
 class TestClassification:
     def test_bench_json_kinds(self, tmp_path):
-        throughput = tmp_path / "BENCH_throughput.json"
-        throughput.write_text(json.dumps(THROUGHPUT))
-        fleet = tmp_path / "BENCH_fleet.json"
+        fleet = tmp_path / "fleet.json"
         fleet.write_text(json.dumps(FLEET))
-        assert classify_artifact(str(throughput)) == "throughput"
         assert classify_artifact(str(fleet)) == "fleet"
 
     def test_manifest_headed_stream_classifies_as_stream(self, tmp_path):
@@ -172,7 +140,7 @@ class TestClassification:
         assert classify_artifact(str(binary)) is None
 
     def test_collect_scans_directories_one_level(self, tmp_path):
-        (tmp_path / "BENCH_fleet.json").write_text(json.dumps(FLEET))
+        (tmp_path / "fleet.json").write_text(json.dumps(FLEET))
         (tmp_path / "noise.txt").write_text("noise")
         artifacts = collect_artifacts([str(tmp_path)])
         assert [kind for kind in artifacts] == ["fleet"]
@@ -180,25 +148,30 @@ class TestClassification:
 
 class TestDashboard:
     def build_artifacts(self, tmp_path, regress=False):
-        throughput = tmp_path / "BENCH_throughput.json"
-        throughput.write_text(json.dumps(THROUGHPUT))
-        fleet = tmp_path / "BENCH_fleet.json"
+        fleet = tmp_path / "fleet.json"
         fleet.write_text(json.dumps(FLEET))
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(json.dumps({
+            "schema": "repro-sweep-stream/v1", "status": "ok",
+            "cell": {"backend": "object", "engine_mode": "reference",
+                     "branches": 500},
+            "elapsed": 0.25,
+        }) + "\n")
         history = str(tmp_path / "history.jsonl")
         factor = 0.5 if regress else 1.02
+        append_history(history, history_row("fleet", fleet_metrics(FLEET)))
         append_history(history, history_row(
-            "throughput", throughput_metrics(THROUGHPUT)))
-        append_history(history, history_row(
-            "throughput", throughput_metrics(scaled(THROUGHPUT, factor))))
+            "fleet", fleet_metrics(scaled(FLEET, factor))))
         return collect_artifacts([str(tmp_path)])
 
     def test_renders_sections_for_each_artifact_kind(self, tmp_path):
         text = render_dashboard(self.build_artifacts(tmp_path),
                                 title="nightly observatory")
         assert text.startswith("# nightly observatory")
-        assert "## Throughput" in text
         assert "## Fleet" in text
-        assert "45,000" in text  # single-run table rendered
+        assert "## Sweep streams" in text
+        assert "11,000" in text  # per-backend rollup rendered
+        assert "Trend vs previous run" in text
 
     def test_healthy_history_has_no_regression_section(self, tmp_path):
         text = render_dashboard(self.build_artifacts(tmp_path))
