@@ -211,7 +211,6 @@ def run_fleet(
             "wall_seconds": par_wall,
             "branches_per_second": total_branches / par_wall,
             "chunks_dispatched": par_stats.get("chunks_dispatched", 0),
-            "rounds": par_stats.get("rounds", 0),
             "pool_breaks": par_stats.get("pool_breaks", 0),
             "worker_installs": {
                 str(pid): stats.get("installs", 0)

@@ -3,9 +3,11 @@
 The multi-config experiments (Table 1 generations, Figure 3 ablations,
 design-choice sweeps) are embarrassingly parallel: every (config,
 workload, seed) cell is an independent simulation.  This module fans a
-list of :class:`SweepCell` over a *persistent* pool of warm worker
-processes and merges the results back **in submission order**, so a
-parallel sweep is byte-identical to a sequential one.
+list of :class:`SweepCell` over warm worker processes — each a
+:class:`repro.common.workers.Worker`, the one supervised-process core
+the serve shards run on too — and merges the results back **in
+submission order**, so a parallel sweep is byte-identical to a
+sequential one.
 
 The warm-pool architecture (the fix for the ``speedup: 0.87`` baseline,
 where per-cell pickling of deep-copied Programs dominated the fan-out):
@@ -13,7 +15,7 @@ where per-cell pickling of deep-copied Programs dominated the fan-out):
 * **Serialize-once transfer.**  A :class:`PayloadRegistry` pickles each
   distinct heavy payload (Program, PredictorConfig, FaultPlan) exactly
   once in the parent, keyed by a content fingerprint.  Workers receive
-  the whole blob cache once, at spawn, through the pool initializer —
+  the whole blob cache once, at start, as their factory's argument —
   chunk messages afterwards carry only fingerprints and scalars.
 * **Local per-cell copies.**  A worker materialises a pristine payload
   per cell with ``pickle.loads`` on its cached blob — the moral
@@ -21,8 +23,10 @@ where per-cell pickling of deep-copied Programs dominated the fan-out):
   crossed the pipe once.  The sequential path installs the same blob
   cache in-process and runs the identical materialisation code.
 * **Chunking.**  Cells are dispatched in chunks of ``chunk_size`` to
-  amortise executor dispatch and result IPC; a cell failure inside a
-  chunk is caught per cell, so one bad cell never poisons chunkmates.
+  amortise dispatch and result IPC; a cell failure inside a chunk is
+  caught per cell, so one bad cell never poisons chunkmates.  Each
+  worker holds at most one chunk, and a freed worker gets its next
+  chunk before any row is yielded.
 * **Streaming.**  :func:`stream_cells` is an incremental iterator: it
   yields each :class:`SweepResult`/:class:`CellError` row as soon as
   every earlier row is definitive — merged into submission order, so
@@ -35,15 +39,15 @@ Determinism contract:
 * ``_run_spec`` is the single cell body.  The sequential path
   (``workers <= 1``) calls it in-process; the parallel path ships it to
   worker processes inside :func:`_run_chunk`.  Both paths execute
-  identical code over identically-materialised payloads.
+  identical code over identically-materialised payloads, and settle
+  every attempt's outcome through the same helper.
 * Results are slotted by submission index, so they line up with cells
   regardless of which worker finished first — including across retries.
 * Every result carries the :func:`~repro.verification.differential.
   stats_fingerprint` of its :class:`~repro.stats.metrics.RunStats`, so
   equivalence between worker counts is a string comparison.
 
-Failure contract (the PR-5 hardening layer, preserved on the warm
-path):
+Failure contract:
 
 * ``_run_spec`` is pure per cell, so a retry after a transient failure
   reproduces the exact result a clean first run would have produced —
@@ -52,12 +56,12 @@ path):
   its result slot instead of killing the sweep; its ``fingerprint``
   property encodes the failure kind (``cell-error:<kind>``).
 * An optional per-cell ``timeout`` bounds each attempt; a chunk of *k*
-  cells gets a ``k * timeout`` budget.  A pool whose worker hangs or
-  dies is torn down (hung processes terminated) and the surviving
-  cells re-run.
-* After a pool breakage the runner switches to *isolation rounds* — one
-  fresh warm single-worker pool per cell — so a crashing cell is
-  attributed exactly and innocent cells complete normally.
+  cells gets a ``k * timeout`` budget from its dispatch.  A worker that
+  dies or overruns is killed and replaced.  A single-cell chunk spends
+  an attempt of its cell; a multi-cell chunk goes back on the queue as
+  single-cell chunks, so the crash is attributed to exactly one cell
+  while its innocent chunkmates — and every other chunk — run on warm
+  workers as before.
 
 ``python -m repro sweep`` and ``python -m repro fleet`` are the CLI
 front ends.
@@ -69,10 +73,9 @@ import hashlib
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import (
     Callable,
     Dict,
@@ -87,6 +90,7 @@ from typing import (
 )
 
 from repro.common.errors import SimulationError
+from repro.common.workers import Worker
 from repro.configs.predictor import PredictorConfig
 from repro.engine.functional import FunctionalEngine
 from repro.workloads.program import Program
@@ -229,7 +233,7 @@ class PayloadRegistry:
         self._fingerprints: Dict[int, str] = {}
         self._keepalive: List[object] = []
         #: fingerprint -> pickled bytes; shipped to each worker once,
-        #: through the pool initializer.
+        #: as it starts.
         self.blobs: Dict[str, bytes] = {}
         #: ``pickle.dumps`` calls made by this registry.
         self.pickle_calls = 0
@@ -255,8 +259,8 @@ class PayloadRegistry:
         return sum(len(blob) for blob in self.blobs.values())
 
 
-#: Worker-process blob cache, installed once per worker by the pool
-#: initializer (the sequential path installs it in-process).
+#: Worker-process blob cache, installed once per worker as it starts
+#: (the sequential path installs it in-process).
 _PAYLOAD_CACHE: Dict[str, bytes] = {}
 
 #: Worker-side instrumentation, keyed to the owning pid so a forked
@@ -264,7 +268,12 @@ _PAYLOAD_CACHE: Dict[str, bytes] = {}
 _WORKER_STATS: Dict[str, int] = {}
 
 
-def _reset_worker_stats_if_new_process() -> None:
+def _install_payloads(blobs: Mapping[str, bytes]) -> None:
+    """Receive the serialize-once blob cache.
+
+    Runs exactly once per worker process — every later chunk message
+    references payloads by fingerprint only.
+    """
     pid = os.getpid()
     if _WORKER_STATS.get("pid") != pid:
         _WORKER_STATS.clear()
@@ -272,15 +281,6 @@ def _reset_worker_stats_if_new_process() -> None:
             pid=pid, installs=0, materializations=0,
             payload_blobs=0, payload_bytes=0, cells_run=0,
         )
-
-
-def _install_payloads(blobs: Mapping[str, bytes]) -> None:
-    """Pool initializer: receive the serialize-once blob cache.
-
-    Runs exactly once per worker process — every later chunk message
-    references payloads by fingerprint only.
-    """
-    _reset_worker_stats_if_new_process()
     _PAYLOAD_CACHE.clear()
     _PAYLOAD_CACHE.update(blobs)
     _WORKER_STATS["installs"] += 1
@@ -445,13 +445,25 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
     )
 
 
+def _attempt(tasks: List[Tuple[int, _CellSpec]]
+             ) -> List[Tuple[int, str, object]]:
+    """Run cells one by one, catching failures *per cell*: a raising
+    cell yields an ``(index, "error", message)`` outcome while its
+    chunkmates complete normally — only a crash or hang takes a whole
+    chunk down."""
+    outcomes: List[Tuple[int, str, object]] = []
+    for index, spec in tasks:
+        try:
+            outcomes.append((index, "ok", _run_spec(spec)))
+        except Exception as error:
+            outcomes.append(
+                (index, "error", f"{type(error).__name__}: {error}")
+            )
+    return outcomes
+
+
 def _run_chunk(tasks: List[Tuple[int, _CellSpec]]) -> Tuple[bytes, dict]:
     """Run a chunk of cells inside a warm worker.
-
-    Failures are caught *per cell*, so one raising cell yields an
-    ("error", message) outcome while its chunkmates complete normally —
-    only a crash or hang takes the whole chunk down (and then isolation
-    rounds re-attribute).
 
     Result IPC is *batched*: the whole outcome list crosses the pipe as
     one ``pickle.dumps`` blob, so the RunStats of chunkmates share one
@@ -461,15 +473,7 @@ def _run_chunk(tasks: List[Tuple[int, _CellSpec]]) -> Tuple[bytes, dict]:
     so ``pool_stats`` can account the bytes the batching saved.
     Returns (outcome blob, worker instrumentation snapshot).
     """
-    outcomes: List[Tuple] = []
-    for index, spec in tasks:
-        try:
-            outcomes.append((index, "ok", _run_spec(spec)))
-        except Exception as error:
-            outcomes.append(
-                (index, "error", f"{type(error).__name__}: {error}")
-            )
-    _reset_worker_stats_if_new_process()
+    outcomes = _attempt(tasks)
     blob = pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL)
     unbatched = sum(
         len(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
@@ -481,18 +485,11 @@ def _run_chunk(tasks: List[Tuple[int, _CellSpec]]) -> Tuple[bytes, dict]:
     return blob, stats
 
 
-def _account_result_blob(stats: dict, blob: bytes,
-                         worker_stats: Mapping[str, int]) -> None:
-    """Fold one chunk's result-IPC accounting into ``pool_stats``."""
-    stats["result_blobs"] = stats.get("result_blobs", 0) + 1
-    stats["result_bytes"] = stats.get("result_bytes", 0) + len(blob)
-    unbatched = worker_stats.get("chunk_result_bytes_unbatched", len(blob))
-    stats["result_bytes_unbatched"] = (
-        stats.get("result_bytes_unbatched", 0) + unbatched
-    )
-    stats["result_bytes_saved"] = (
-        stats["result_bytes_unbatched"] - stats["result_bytes"]
-    )
+def _sweep_worker(blobs: Mapping[str, bytes]) -> Callable:
+    """Worker-core factory: install the serialize-once blob cache, once
+    per worker process; every message after that is one chunk to run."""
+    _install_payloads(blobs)
+    return lambda _op, tasks: _run_chunk(tasks)
 
 
 # ----------------------------------------------------------------------
@@ -514,72 +511,6 @@ def _cell_error(cell: SweepCell, kind: str, message: str,
     )
 
 
-def _sleep_backoff(backoff: float, attempt: int) -> None:
-    """Exponential backoff before re-attempting a failed cell."""
-    if backoff > 0:
-        time.sleep(min(backoff * (2 ** (attempt - 1)), _BACKOFF_CAP))
-
-
-def _stop_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool that may hold hung or dead workers.
-
-    ``shutdown(wait=True)`` would join a hung worker forever, so the
-    worker processes are terminated first; the abandoned shutdown then
-    completes once the management thread observes the dead workers.
-    """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-
-
-def _run_sequential_spec(cell: SweepCell, spec: _CellSpec, retries: int,
-                         backoff: float) -> Union[SweepResult, CellError]:
-    """In-process attempt loop with the same retry contract as the
-    parallel path (timeouts and crashes cannot occur in-process)."""
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return _run_spec(spec)
-        except Exception as error:
-            if attempts > retries:
-                return _cell_error(
-                    cell, "error", f"{type(error).__name__}: {error}", attempts
-                )
-            _sleep_backoff(backoff, attempts)
-
-
-def _isolated_attempt(spec: _CellSpec, blobs: Mapping[str, bytes],
-                      timeout: Optional[float]) -> Tuple[str, object, dict]:
-    """One attempt in a dedicated warm single-worker pool, so a crash or
-    hang is attributed to exactly this cell.  Returns (outcome, payload,
-    worker_stats): ("ok", SweepResult, stats) or (kind, message, {})."""
-    pool = ProcessPoolExecutor(max_workers=1, initializer=_install_payloads,
-                               initargs=(dict(blobs),))
-    future = pool.submit(_run_chunk, [(0, spec)])
-    try:
-        blob, worker_stats = future.result(timeout=timeout)
-        outcomes = pickle.loads(blob)
-    except FuturesTimeout:
-        _stop_pool(pool)
-        return ("timeout", f"no result within {timeout}s", {})
-    except BrokenProcessPool:
-        _stop_pool(pool)
-        return ("crash", "worker process died mid-cell", {})
-    except Exception as error:  # infrastructure failure, not the cell
-        pool.shutdown(wait=True)
-        return ("error", f"{type(error).__name__}: {error}", {})
-    pool.shutdown(wait=True)
-    _, status, payload = outcomes[0]
-    return (status, payload, worker_stats)
-
-
 def _fresh_pool_stats() -> dict:
     return {
         "mode": None,
@@ -593,7 +524,6 @@ def _fresh_pool_stats() -> dict:
         "result_bytes": 0,
         "result_bytes_unbatched": 0,
         "result_bytes_saved": 0,
-        "rounds": 0,
         "pool_breaks": 0,
         "isolation_attempts": 0,
         "resumed_cells": 0,
@@ -602,21 +532,9 @@ def _fresh_pool_stats() -> dict:
     }
 
 
-def _record_worker(stats: dict, worker_stats: dict) -> None:
-    pid = worker_stats.get("pid")
-    if pid is not None:
-        stats["workers"][pid] = worker_stats
-
-
-def _observe_result(spans, result: Union[SweepResult, CellError]) -> None:
-    """Fold one definitive result into the span tracer: completed cells
-    contribute their in-worker elapsed to the ``execute`` phase; failed
-    cells surface as ``cell.error`` incidents."""
-    if isinstance(result, SweepResult):
-        spans.observe("execute", result.elapsed, label=result.label)
-    else:
-        spans.event("cell.error", label=result.label, kind=result.kind,
-                    attempts=result.attempts)
+def _phase(spans, name: str, **fields):
+    """A span around one pool phase, or nothing when tracing is off."""
+    return spans.span(name, **fields) if spans else nullcontext()
 
 
 def stream_cells(
@@ -642,22 +560,28 @@ def stream_cells(
     ``workers <= 1`` runs in-process over the same serialize-once blob
     cache and cell body as the worker path — per-cell stats and
     fingerprints are identical either way; only wall-clock changes.
+    Otherwise each of up to *workers* warm :class:`~repro.common.
+    workers.Worker` processes holds at most one chunk at a time.
     *timeout* bounds each attempt of each cell (a chunk of *k* cells
-    gets ``k * timeout``); *retries* is how many times a failed cell is
-    re-attempted (with exponential *backoff*) before its slot is filled
-    with a :class:`CellError`.  ``pool_stats``, when given a dict, is
-    populated with transfer/instrumentation counters (serialize-once
-    accounting, per-worker install counts, chunk dispatch totals).
+    gets ``k * timeout``, counted from dispatch); *retries* is how many
+    times a failed cell is re-attempted (alone, after an exponential
+    *backoff*) before its slot is filled with a :class:`CellError`.  A
+    worker that dies or hangs is replaced: a single-cell chunk spends
+    an attempt of its cell, a multi-cell chunk goes back on the queue
+    as single-cell chunks, spending none.  ``pool_stats``, when given a
+    dict, is populated with transfer/instrumentation counters
+    (serialize-once accounting, per-worker install counts, chunk
+    dispatch totals, worker breaks).
 
     *spans*, when given a :class:`~repro.obs.spans.SpanTracer`, records
     the submission lifecycle: ``serialize``/``transfer``/``execute``/
     ``merge`` phase spans (worker execute time harvested from each
     result's in-worker ``elapsed``), plus ``cell.retry``/
-    ``cell.timeout``/``cell.error``/``pool.break``/``isolation.round``
-    incident events, and leaves per-phase latency histograms in
-    ``pool_stats["phase_latency"]``.  Spans only observe — results and
-    fingerprints are byte-identical with tracing on or off — and the
-    default off path pays one truthiness check per phase.
+    ``cell.timeout``/``cell.error``/``pool.break`` incident events, and
+    leaves per-phase latency histograms in ``pool_stats
+    ["phase_latency"]``.  Spans only observe — results and fingerprints
+    are byte-identical with tracing on or off — and the default off
+    path pays one truthiness check per phase.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -665,10 +589,7 @@ def stream_cells(
     stats = pool_stats if pool_stats is not None else {}
     stats.update(_fresh_pool_stats())
     registry = PayloadRegistry()
-    if spans:
-        with spans.span("serialize", cells=len(cells)):
-            specs = [_spec_for(cell, registry) for cell in cells]
-    else:
+    with _phase(spans, "serialize", cells=len(cells)):
         specs = [_spec_for(cell, registry) for cell in cells]
     results: List[object] = [None] * len(cells)
     for index, result in (completed or {}).items():
@@ -686,237 +607,177 @@ def stream_cells(
         resumed_cells=sum(1 for r in results if r is not None),
     )
     pending = [i for i in range(len(cells)) if results[i] is None]
-    max_attempts = retries + 1
+    sequential = workers <= 1 or len(pending) <= 1
+    size = 1 if sequential else chunk_size  # in-process: row by row
+    #: (not-before time, cell indices) in dispatch order: fresh chunks,
+    #: with retries and the single-cell remains of broken chunks put
+    #: in front of them.
+    queue = [(0.0, pending[i:i + size])
+             for i in range(0, len(pending), size)]
+    attempts = [0] * len(cells)
     emitted = 0
 
-    def _emit_ready():
+    def settle(index: int, kind: str, payload) -> None:
+        """Fill the cell's slot with one attempt's outcome, or queue
+        the cell alone behind its backoff while attempts remain."""
+        attempts[index] += 1
+        label = cells[index].label
+        if kind == "ok":
+            results[index] = payload
+            if spans:  # the in-worker run time is the execute phase
+                spans.observe("execute", payload.elapsed, label=label)
+        elif attempts[index] > retries:
+            results[index] = _cell_error(cells[index], kind, str(payload),
+                                         attempts[index])
+            if spans:
+                spans.event("cell.error", label=label, kind=kind,
+                            attempts=attempts[index])
+        else:
+            if spans:
+                spans.event("cell.retry", label=label, kind=kind,
+                            attempt=attempts[index])
+            delay = min(backoff * 2 ** (attempts[index] - 1), _BACKOFF_CAP)
+            queue.insert(0, (time.monotonic() + delay, [index]))
+
+    def emit_ready():
         nonlocal emitted
         while emitted < len(cells) and results[emitted] is not None:
             yield results[emitted]
             emitted += 1
 
-    if workers <= 1 or len(pending) <= 1:
-        stats["mode"] = "sequential"
-        if spans:
-            with spans.span("transfer",
-                            payload_bytes=registry.payload_bytes):
-                _install_payloads(registry.blobs)
-        else:
-            _install_payloads(registry.blobs)
-        for index in range(len(cells)):
-            if results[index] is None:
-                results[index] = _run_sequential_spec(
-                    cells[index], specs[index], retries, backoff
-                )
-                if spans:
-                    _observe_result(spans, results[index])
-            yield from _emit_ready()
-        if spans:
-            stats["phase_latency"] = spans.phase_latency()
-        return
-
-    stats["mode"] = "warm-pool"
-    attempts = [0] * len(cells)
-    first_chunks = (len(pending) + chunk_size - 1) // chunk_size
-    if spans:
-        with spans.span("transfer", payload_bytes=registry.payload_bytes,
-                        workers=max(1, min(workers, first_chunks))):
-            pool = ProcessPoolExecutor(
-                max_workers=max(1, min(workers, first_chunks)),
-                initializer=_install_payloads,
-                initargs=(registry.blobs,),
-            )
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=max(1, min(workers, first_chunks)),
-            initializer=_install_payloads,
-            initargs=(registry.blobs,),
-        )
-    pool_live = True
-    finished = False
+    pool: List[Worker] = []
     try:
-        isolate = False
-        while pending:
-            if isolate:
-                # Isolation rounds: one fresh warm single-worker pool
-                # per cell, so crashes and hangs are attributed exactly.
-                index = pending.pop(0)
-                attempts[index] += 1
-                stats["isolation_attempts"] += 1
-                if spans:
-                    spans.event("isolation.round", label=cells[index].label,
-                                attempt=attempts[index])
-                outcome, payload, worker_stats = _isolated_attempt(
-                    specs[index], registry.blobs, timeout
-                )
-                if outcome == "ok":
-                    results[index] = payload
-                    _record_worker(stats, worker_stats)
-                    if spans:
-                        _observe_result(spans, payload)
-                elif attempts[index] >= max_attempts:
-                    results[index] = _cell_error(
-                        cells[index], outcome, str(payload), attempts[index]
-                    )
-                    if spans:
-                        _observe_result(spans, results[index])
-                else:
-                    if spans:
-                        spans.event("cell.retry", label=cells[index].label,
-                                    kind=outcome, attempt=attempts[index])
-                    _sleep_backoff(backoff, attempts[index])
-                    pending.append(index)
-                yield from _emit_ready()
-                continue
-
-            # One chunked round over the persistent warm pool.
-            stats["rounds"] += 1
-            chunks = [pending[i:i + chunk_size]
-                      for i in range(0, len(pending), chunk_size)]
-            stats["chunks_dispatched"] += len(chunks)
-            requeue: List[int] = []
-            broken = False
-            submitted = [
-                (chunk, pool.submit(_run_chunk,
-                                    [(i, specs[i]) for i in chunk]))
-                for chunk in chunks
-            ]
-            for chunk, future in submitted:
-                if broken:
-                    # Harvest whatever already finished cleanly; requeue
-                    # the rest unattributed (isolation rounds will
-                    # assign blame without consuming an attempt here).
-                    if (future.done() and not future.cancelled()
-                            and future.exception() is None):
-                        blob, worker_stats = future.result()
-                        outcomes = pickle.loads(blob)
-                        _account_result_blob(stats, blob, worker_stats)
-                        _record_worker(stats, worker_stats)
-                        for index, status, payload in outcomes:
-                            attempts[index] += 1
-                            if status == "ok":
-                                results[index] = payload
-                                if spans:
-                                    _observe_result(spans, payload)
-                            elif attempts[index] >= max_attempts:
-                                results[index] = _cell_error(
-                                    cells[index], "error", payload,
-                                    attempts[index],
-                                )
-                                if spans:
-                                    _observe_result(spans, results[index])
-                            else:
-                                if spans:
-                                    spans.event(
-                                        "cell.retry",
-                                        label=cells[index].label,
-                                        kind="error",
-                                        attempt=attempts[index],
-                                    )
-                                requeue.append(index)
-                    else:
-                        requeue.extend(chunk)
-                    continue
-                budget = (timeout * len(chunk)
-                          if timeout is not None else None)
-                try:
-                    blob, worker_stats = future.result(timeout=budget)
-                except FuturesTimeout:
-                    if future.running() and len(chunk) == 1:
-                        # Exact attribution: this single-cell chunk hung.
-                        index = chunk[0]
-                        attempts[index] += 1
-                        message = f"no result within {timeout}s"
-                        if spans:
-                            spans.event("cell.timeout",
-                                        label=cells[index].label,
-                                        attempt=attempts[index])
-                        if attempts[index] >= max_attempts:
-                            results[index] = _cell_error(
-                                cells[index], "timeout", message,
-                                attempts[index],
-                            )
-                            if spans:
-                                _observe_result(spans, results[index])
-                        else:
-                            requeue.append(index)
-                    else:
-                        # Multi-cell chunk (culprit unknown) or still
-                        # queued behind the hung worker — requeue
-                        # without consuming an attempt; isolation
-                        # rounds attribute exactly.
-                        requeue.extend(chunk)
-                    broken = True
-                    _stop_pool(pool)
-                    pool_live = False
-                except BrokenProcessPool:
-                    # A worker died; the executor poisons every
-                    # in-flight future, so the culprit is not
-                    # attributable from here.
-                    requeue.extend(chunk)
-                    broken = True
-                    _stop_pool(pool)
-                    pool_live = False
-                else:
-                    if spans:
-                        with spans.span("merge", cells=len(chunk)):
-                            outcomes = pickle.loads(blob)
-                    else:
-                        outcomes = pickle.loads(blob)
-                    _account_result_blob(stats, blob, worker_stats)
-                    _record_worker(stats, worker_stats)
-                    for index, status, payload in outcomes:
-                        attempts[index] += 1
-                        if status == "ok":
-                            results[index] = payload
-                            if spans:
-                                _observe_result(spans, payload)
-                        elif attempts[index] >= max_attempts:
-                            results[index] = _cell_error(
-                                cells[index], "error", payload,
-                                attempts[index],
-                            )
-                            if spans:
-                                _observe_result(spans, results[index])
-                        else:
-                            if spans:
-                                spans.event("cell.retry",
-                                            label=cells[index].label,
-                                            kind="error",
-                                            attempt=attempts[index])
-                            requeue.append(index)
-                    yield from _emit_ready()
-            if broken:
-                isolate = True
-                stats["pool_breaks"] += 1
-                if spans:
-                    spans.event("pool.break",
-                                pending=len(requeue))
-            elif requeue:
-                _sleep_backoff(backoff, 1)
-            pending = sorted(requeue)
-            yield from _emit_ready()
-        finished = True
+        yield from emit_ready()  # a resumed prefix needs no run
+        if sequential:
+            stats["mode"] = "sequential"
+            with _phase(spans, "transfer",
+                        payload_bytes=registry.payload_bytes):
+                _install_payloads(registry.blobs)
+            while queue:
+                not_before, chunk = queue.pop(0)
+                time.sleep(max(0.0, not_before - time.monotonic()))
+                for outcome in _attempt([(i, specs[i]) for i in chunk]):
+                    settle(*outcome)
+                yield from emit_ready()
+            return
+        stats["mode"] = "warm-pool"
+        pool.extend(Worker(_sweep_worker, (registry.blobs,),
+                           name=f"repro-sweep-{n}")
+                    for n in range(min(workers, len(queue))))
+        with _phase(spans, "transfer", payload_bytes=registry.payload_bytes,
+                    workers=len(pool)):
+            for worker in pool:
+                worker.start()
+        for _ in _supervise(pool, queue, specs, settle, timeout, stats,
+                            spans):
+            yield from emit_ready()
     finally:
+        # Workers hold nothing to flush: finished or abandoned (the
+        # consumer stopped early), the sweep kills them.
+        for worker in pool:
+            worker.kill()
         if spans:
             stats["phase_latency"] = spans.phase_latency()
-        if pool_live:
-            if finished:
-                pool.shutdown(wait=True)
+
+
+def _supervise(pool: List[Worker], queue: List, specs: List[_CellSpec],
+               settle: Callable, timeout: Optional[float], stats: dict,
+               spans) -> Iterator[None]:
+    """Drain *queue* over the started *pool*, each worker holding at
+    most one chunk, and pause (yield) whenever rows may have become
+    ready.  A worker that dies or overruns its chunk's deadline is
+    replaced on the spot."""
+    idle = list(pool)
+    #: worker -> (cell indices, deadline or None)
+    busy: Dict[Worker, Tuple[List[int], Optional[float]]] = {}
+
+    def dispatch() -> None:
+        now = time.monotonic()
+        while idle:
+            item = next((item for item in queue if item[0] <= now), None)
+            if item is None:
+                return
+            queue.remove(item)
+            chunk = item[1]
+            worker = idle.pop()
+            busy[worker] = (chunk, now + timeout * len(chunk)
+                            if timeout is not None else None)
+            stats["chunks_dispatched"] += 1
+            try:
+                worker.send(stats["chunks_dispatched"], "run",
+                            [(i, specs[i]) for i in chunk])
+            except OSError:
+                pass  # died while idle: its EOF reads as a crash below
+
+    def lost(chunk: List[int], kind: str, message: str) -> None:
+        """Account a chunk whose worker died or overran."""
+        stats["pool_breaks"] += 1
+        if spans:
+            spans.event("pool.break", kind=kind, cells=len(chunk))
+        if len(chunk) > 1:
+            # The culprit is unknown: every chunkmate re-runs alone on
+            # the warm workers, and none spends an attempt here.
+            stats["isolation_attempts"] += len(chunk)
+            queue[:0] = [(0.0, [index]) for index in chunk]
+            return
+        if spans and kind == "timeout":
+            spans.event("cell.timeout", label=specs[chunk[0]].label)
+        settle(chunk[0], kind, message)
+
+    dispatch()
+    while busy or queue:
+        wakeups = [deadline for _, deadline in busy.values()
+                   if deadline is not None]
+        if idle:
+            wakeups += [not_before for not_before, _ in queue]
+        ready = wait([worker.conn for worker in busy],
+                     max(0.0, min(wakeups) - time.monotonic())
+                     if wakeups else None)
+        now = time.monotonic()
+        for worker, (chunk, deadline) in list(busy.items()):
+            if worker.conn in ready:
+                try:
+                    _, (blob, worker_stats) = worker.recv()
+                except (EOFError, OSError):
+                    kind, message = "crash", "worker process died mid-cell"
+                else:
+                    del busy[worker]
+                    idle.append(worker)
+                    dispatch()
+                    with _phase(spans, "merge", cells=len(chunk)):
+                        outcomes = pickle.loads(blob)
+                    stats["workers"][worker_stats["pid"]] = worker_stats
+                    stats["result_blobs"] += 1
+                    stats["result_bytes"] += len(blob)
+                    stats["result_bytes_unbatched"] += worker_stats[
+                        "chunk_result_bytes_unbatched"]
+                    stats["result_bytes_saved"] = (
+                        stats["result_bytes_unbatched"]
+                        - stats["result_bytes"])
+                    for outcome in outcomes:
+                        settle(*outcome)
+                    continue
+            elif deadline is not None and now >= deadline:
+                kind, message = "timeout", f"no result within {timeout}s"
             else:
-                # Abandoned stream (consumer stopped early): terminate
-                # the workers instead of letting queued chunks run on.
-                _stop_pool(pool)
+                continue
+            del busy[worker]
+            worker.restart()
+            idle.append(worker)
+            lost(chunk, kind, message)
+        # Freed workers take their next chunk before the consumer
+        # sees a row, so a slow consumer never idles a worker.
+        dispatch()
+        yield
 
 
 def run_cells(
     cells: Iterable[SweepCell],
     workers: int = 1,
-    chunksize: Optional[int] = None,
+    chunk_size: int = 1,
     timeout: Optional[float] = None,
     retries: int = 1,
     backoff: float = 0.25,
-    chunk_size: Optional[int] = None,
     completed: Optional[Mapping[int, Union[SweepResult, CellError]]] = None,
     pool_stats: Optional[dict] = None,
     spans=None,
@@ -925,16 +786,15 @@ def run_cells(
 
     The collect-into-a-list wrapper over :func:`stream_cells` — see
     there for the determinism, chunking and failure contracts.
-    ``chunk_size`` (``chunksize`` is the historical alias) sets how many
-    cells ride one dispatch to a warm worker; 1 keeps the exact
-    cell-at-a-time semantics of the pre-warm-pool runner.
+    ``chunk_size`` sets how many cells ride one dispatch to a warm
+    worker; 1 keeps the exact cell-at-a-time semantics of the
+    pre-warm-pool runner.
     """
-    size = chunk_size if chunk_size is not None else (chunksize or 1)
     return list(
         stream_cells(
             cells,
             workers=workers,
-            chunk_size=size,
+            chunk_size=chunk_size,
             timeout=timeout,
             retries=retries,
             backoff=backoff,

@@ -388,8 +388,6 @@ def _spans_section(paths: List[str], strict: bool = False) -> List[str]:
                     f"| {_fmt(data.get('p99'), 2)} "
                     f"| {_fmt(data.get('max'), 2)} |"
                 )
-        incidents = [event for event in events
-                     if event.get("name") != "isolation.round"]
         retries = [e for e in events if e.get("name") == "cell.retry"]
         timeouts = [e for e in events if e.get("name") == "cell.timeout"]
         breaks = [e for e in events if e.get("name") == "pool.break"]
@@ -397,7 +395,7 @@ def _spans_section(paths: List[str], strict: bool = False) -> List[str]:
             lines.append(f"\nincidents: {len(retries)} retries, "
                          f"{len(timeouts)} timeouts, "
                          f"{len(breaks)} pool breaks "
-                         f"({len(incidents)} events total)")
+                         f"({len(events)} events total)")
     return lines
 
 

@@ -7,8 +7,8 @@ look the same from outside.  This module adds the missing axis: a
 :class:`SpanTracer` records named phases (``serialize``, ``transfer``,
 ``execute``, ``merge``, engine ``warmup``/``counted``/``finalize``) with
 wall and CPU durations, plus point events (``cell.retry``,
-``cell.timeout``, ``pool.break``, ``isolation.round``) so rare incidents
-are visible in order.
+``cell.timeout``, ``pool.break``) so rare incidents are visible in
+order.
 
 The tracer follows the telemetry null-object discipline exactly:
 :data:`NULL_SPANS` is falsy and every method a no-op, so instrumented

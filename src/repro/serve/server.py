@@ -51,8 +51,7 @@ class ServeOptions:
                  heartbeat_timeout: float = 3.0,
                  request_timeout: float = 60.0,
                  checkpoint_every: int = 4,
-                 default_deadline_ms: Optional[int] = None,
-                 start_method: str = "forkserver"):
+                 default_deadline_ms: Optional[int] = None):
         if shards < 1:
             raise ServeError(f"need at least one shard, got {shards}")
         if queue_depth < 1:
@@ -66,7 +65,6 @@ class ServeOptions:
         self.request_timeout = request_timeout
         self.checkpoint_every = checkpoint_every
         self.default_deadline_ms = default_deadline_ms
-        self.start_method = start_method
 
     def to_dict(self) -> Dict:
         return {
@@ -79,7 +77,6 @@ class ServeOptions:
             "request_timeout": self.request_timeout,
             "checkpoint_every": self.checkpoint_every,
             "default_deadline_ms": self.default_deadline_ms,
-            "start_method": self.start_method,
         }
 
 
@@ -191,8 +188,8 @@ class PredictorServer:
         self._event("boot", schema=EVENTS_SCHEMA,
                     options=self.options.to_dict())
         # fork would inherit the event loop's locks mid-state from the
-        # reader threads; spawn-family start methods sidestep that.
-        ctx = multiprocessing.get_context(self.options.start_method)
+        # reader threads; forkserver children start from a clean server.
+        ctx = multiprocessing.get_context("forkserver")
         self.shards = [
             ShardHandle(index, self.spool_dir, self.options.checkpoint_every,
                         ctx)

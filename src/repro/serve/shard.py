@@ -1,10 +1,13 @@
 """Worker shards: the processes that own warm predictor instances.
 
 A shard is one OS process holding the warm :class:`TenantState` for a
-subset of tenants.  The parent talks to it over a pipe with a tiny
-``(id, op, payload)`` framing; replies come back ``(id, payload)``.
-The asyncio side wraps each shard in a :class:`ShardHandle` whose
-reader thread pumps replies back into the event loop.
+subset of tenants.  It runs on the worker core
+(:class:`repro.common.workers.Worker`, the same core sweep workers run
+on): the parent sends ``(id, op, payload)`` over the pipe, and
+:func:`shard_main` builds the handler whose reply comes back
+``(id, payload)``.  The asyncio side wraps each shard in a
+:class:`ShardHandle` whose reader thread pumps replies back into the
+event loop.
 
 :class:`TenantState` is deliberately process-agnostic — the chaos
 harness replays spools through it offline, and recovery replays
@@ -21,13 +24,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-import signal
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import JournalError, ServeError
+from repro.common.workers import Worker
 from repro.configs import GENERATIONS
 from repro.core.state_io import load_state, save_state
 from repro.engine import create_predictor
@@ -286,15 +289,10 @@ class TenantState:
 # -- the worker process --------------------------------------------------
 
 
-def shard_main(conn, spool_dir: str, shard_index: int,
-               checkpoint_every: int) -> None:
-    """Entry point of one shard process: a blocking dispatch loop."""
-    # The parent owns shutdown; a terminal Ctrl-C must not tear the
-    # child mid-append when graceful drain is in flight.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:
-        pass
+def shard_main(spool_dir: str, shard_index: int,
+               checkpoint_every: int) -> Callable[[str, Dict], Dict]:
+    """Worker-core factory of one shard process: returns the handler
+    that answers each ``(op, payload)`` against the shard's tenants."""
     tenants: Dict[str, TenantState] = {}
     slow_delay = 0.0
 
@@ -306,12 +304,8 @@ def shard_main(conn, spool_dir: str, shard_index: int,
                              f"{shard_index}")
         return state
 
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        msg_id, op, payload = message
+    def handle(op: str, payload: Dict) -> Dict:
+        nonlocal slow_delay
         try:
             if op == "predict":
                 if slow_delay:
@@ -374,9 +368,7 @@ def shard_main(conn, spool_dir: str, shard_index: int,
             elif op == "shutdown":
                 for state in tenants.values():
                     state.close()
-                conn.send((msg_id, {"status": "ok",
-                                    "tenants": len(tenants)}))
-                break
+                reply = {"status": "ok", "tenants": len(tenants)}
             else:
                 reply = {"status": "error", "code": "protocol",
                          "detail": f"unknown shard op {op!r}"}
@@ -388,7 +380,9 @@ def shard_main(conn, spool_dir: str, shard_index: int,
         except Exception as exc:  # noqa: BLE001 — shard must not die silently
             reply = {"status": "error", "code": "internal",
                      "detail": f"{type(exc).__name__}: {exc}"}
-        conn.send((msg_id, reply))
+        return reply
+
+    return handle
 
 
 def _chaos_op(tenants: Dict[str, TenantState], payload: Dict) -> Dict:
@@ -422,38 +416,28 @@ class ShardUnavailable(ServeError):
 
 
 class ShardHandle:
-    """Parent-side wrapper: pipe, reader thread, future-based requests."""
+    """Parent-side wrapper: a worker-core process, a reader thread and
+    future-based requests."""
 
     def __init__(self, index: int, spool_dir: Union[str, Path],
                  checkpoint_every: int, mp_context):
         self.index = index
         self.spool_dir = str(spool_dir)
         self.checkpoint_every = checkpoint_every
-        self._ctx = mp_context
+        self._worker = Worker(shard_main,
+                              (self.spool_dir, index, checkpoint_every),
+                              context=mp_context,
+                              name=f"repro-shard-{index}")
         self._ids = itertools.count()
         self._pending: Dict[int, asyncio.Future] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._conn = None
-        self.process = None
         self.alive = False
-        self.generation = 0
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        parent_conn, child_conn = self._ctx.Pipe()
-        self.process = self._ctx.Process(
-            target=shard_main,
-            args=(child_conn, self.spool_dir, self.index,
-                  self.checkpoint_every),
-            daemon=True,
-            name=f"repro-shard-{self.index}",
-        )
-        self.process.start()
-        child_conn.close()
-        self._conn = parent_conn
+        self._worker.start()
         self.alive = True
-        self.generation += 1
-        threading.Thread(target=self._pump, args=(parent_conn,),
+        threading.Thread(target=self._pump, args=(self._worker.conn,),
                          daemon=True,
                          name=f"repro-shard-{self.index}-reader").start()
 
@@ -465,7 +449,7 @@ class ShardHandle:
                 break
             self._loop.call_soon_threadsafe(self._resolve, message)
         # The staleness check must run in the loop thread at callback
-        # time: checking ``conn is self._conn`` here races with a
+        # time: checking the conn is current here races with a
         # kill()+start() restart — the old conn is still current while
         # the killed process's EOF arrives, and the queued mark-dead
         # would then execute after start(), condemning the fresh shard.
@@ -478,7 +462,7 @@ class ShardHandle:
             future.set_result(reply)
 
     def _mark_dead_if_current(self, conn) -> None:
-        if conn is self._conn:
+        if conn is self._worker.conn:
             self._mark_dead()
 
     def _mark_dead(self) -> None:
@@ -501,37 +485,30 @@ class ShardHandle:
         case the shard may still complete the work; the idempotent
         retry path makes that safe.
         """
-        if not self.alive:
-            raise ShardUnavailable(f"shard {self.index} is down")
-        msg_id = next(self._ids)
-        future = self._loop.create_future()
-        self._pending[msg_id] = future
-        try:
-            self._conn.send((msg_id, op, payload))
-        except (OSError, ValueError) as exc:
-            self._pending.pop(msg_id, None)
-            self._mark_dead()
-            raise ShardUnavailable(f"shard {self.index} pipe broken") from exc
+        msg_id = self.post(op, payload)
+        # The reply resolves in this loop thread, so it cannot land
+        # before its future is registered here.
+        future = self._pending[msg_id] = self._loop.create_future()
         try:
             return await asyncio.wait_for(future, timeout)
         finally:
             self._pending.pop(msg_id, None)
 
-    def post(self, op: str, payload: Dict) -> None:
-        """Fire-and-forget (chaos crash/hang: no reply will ever come)."""
+    def post(self, op: str, payload: Dict) -> int:
+        """Send one op without awaiting a reply (chaos crash/hang: none
+        will ever come); returns its message id."""
         if not self.alive:
             raise ShardUnavailable(f"shard {self.index} is down")
         msg_id = next(self._ids)
         try:
-            self._conn.send((msg_id, op, payload))
+            self._worker.send(msg_id, op, payload)
         except (OSError, ValueError) as exc:
             self._mark_dead()
             raise ShardUnavailable(f"shard {self.index} pipe broken") from exc
+        return msg_id
 
     def kill(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5)
+        self._worker.kill()
         self._mark_dead()
 
     async def stop(self, timeout: float = 10.0) -> bool:
@@ -541,6 +518,6 @@ class ShardHandle:
         except (ShardUnavailable, asyncio.TimeoutError):
             self.kill()
             return False
-        self.process.join(timeout=5)
+        self._worker.join(timeout=5)
         self._mark_dead()
         return True

@@ -72,14 +72,6 @@ def test_chunk_size_must_be_positive():
         run_cells(_tiny_cells(), workers=2, chunk_size=0)
 
 
-def test_legacy_chunksize_alias_still_accepted():
-    cells = _tiny_cells()
-    stats: dict = {}
-    results = run_cells(cells, workers=2, chunksize=3, pool_stats=stats)
-    assert stats["chunk_size"] == 3
-    assert [r.fingerprint for r in results] == _baseline_fingerprints()
-
-
 # ----------------------------------------------------------------------
 # Serialize-once transfer accounting
 # ----------------------------------------------------------------------
@@ -193,6 +185,31 @@ def test_crash_in_chunk_is_attributed_by_isolation_rounds():
     # The crash took the chunk down; isolation rounds assigned blame.
     assert stats["pool_breaks"] >= 1
     assert stats["isolation_attempts"] >= 1
+
+
+def test_crash_re_dispatches_only_the_broken_chunk():
+    # Eight cells in chunks of two: the seed-2 crash takes down the
+    # first chunk only.  Its two cells re-run alone on the warm workers;
+    # every other chunk keeps its chunkmates and spends no attempt.
+    cells = [
+        SweepCell(label="z15", config=z15_config(),
+                  workload="compute-kernel", seed=seed, branches=400,
+                  warmup=100)
+        for seed in range(1, 9)
+    ]
+    baseline = [r.fingerprint
+                for r in run_cells(copy.deepcopy(cells), workers=1)]
+    cells[1].prelude = _crash_prelude
+    stats: dict = {}
+    results = run_cells(cells, workers=2, chunk_size=2, retries=0,
+                        backoff=0.0, pool_stats=stats)
+    assert results[1].kind == "crash"
+    assert results[1].attempts == 1
+    assert stats["isolation_attempts"] == 2
+    assert stats["pool_breaks"] == 2  # the chunk, then the cell alone
+    assert [r.fingerprint for i, r in enumerate(results) if i != 1] == [
+        f for i, f in enumerate(baseline) if i != 1
+    ]
 
 
 def test_hang_in_chunk_is_attributed_by_isolation_rounds():
