@@ -6,11 +6,12 @@ update pipeline) are caught.  Uses real pytest-benchmark rounds, unlike
 the reproduction benches which run once and print tables.  Beyond
 loose order-of-magnitude floors, the gate here is a ratio measured on
 the runner itself: the compiled fast mode must beat the reference
-interpreter by 1.3x.  Numbers for comparing commits come from
-``perfbench/``.
+interpreter by 1.3x, for one run and for a fleet-shaped sweep.
+Numbers for comparing commits come from ``perfbench/``.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 from common import print_table
@@ -22,6 +23,7 @@ from repro.engine import (
     CycleEngine,
     FunctionalEngine,
     SweepCell,
+    build_fleet_grid,
     create_predictor,
     run_cells,
 )
@@ -99,18 +101,30 @@ SPEEDUP_FLOOR = 1.3
 SPEEDUP_REPEATS = 5
 
 
-def _best_seconds_interleaved(workload: str, backend: str) -> dict:
-    """Best-of-N wall time per engine mode, the modes alternating inside
-    each repeat and swapping order every other repeat, so a host speed
-    drift lands on both modes instead of on whichever ran last."""
+def _best_seconds_interleaved(run) -> dict:
+    """Best-of-N wall time of ``run(mode)`` per engine mode, the modes
+    alternating inside each repeat and swapping order every other
+    repeat, so a host speed drift lands on both modes instead of on
+    whichever ran last."""
     best = {mode: float("inf") for mode in ENGINE_MODES}
     for repeat in range(SPEEDUP_REPEATS):
         order = ENGINE_MODES if repeat % 2 == 0 else ENGINE_MODES[::-1]
         for mode in order:
             start = time.perf_counter()
-            _simulate(workload, backend, mode)
+            run(mode)
             best[mode] = min(best[mode], time.perf_counter() - start)
     return best
+
+
+def _check_speedup(best: dict, what: str, branches: int) -> None:
+    ratio = best["reference"] / best["fast"]
+    print_table(
+        f"X6 fast/reference = {ratio:.2f}x (floor {SPEEDUP_FLOOR}x): {what}",
+        ["mode", f"best of {SPEEDUP_REPEATS} s", "branches/s"],
+        [[mode, f"{best[mode]:.4f}", f"{branches / best[mode]:,.0f}"]
+         for mode in ENGINE_MODES],
+    )
+    assert ratio >= SPEEDUP_FLOOR
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -118,18 +132,33 @@ def _best_seconds_interleaved(workload: str, backend: str) -> dict:
 def test_fast_mode_speedup_floor(benchmark, workload, backend):
     # The kernel compile is cached process-wide; pay it before timing.
     _simulate(workload, backend, "fast")
-    best = benchmark.pedantic(_best_seconds_interleaved,
-                              args=(workload, backend), rounds=1,
-                              iterations=1)
-    ratio = best["reference"] / best["fast"]
-    print_table(
-        f"X6 fast/reference = {ratio:.2f}x (floor {SPEEDUP_FLOOR}x): "
-        f"{workload} [{backend}]",
-        ["mode", f"best of {SPEEDUP_REPEATS} s", "branches/s"],
-        [[mode, f"{best[mode]:.4f}", f"{BRANCHES / best[mode]:,.0f}"]
-         for mode in ENGINE_MODES],
-    )
-    assert ratio >= SPEEDUP_FLOOR
+    best = benchmark.pedantic(
+        _best_seconds_interleaved,
+        args=(lambda mode: _simulate(workload, backend, mode),),
+        rounds=1, iterations=1)
+    _check_speedup(best, f"{workload} [{backend}]", BRANCHES)
+
+
+def _run_sweep(cells) -> None:
+    results = run_cells(cells, workers=1)
+    assert all(result.stats is not None for result in results)
+
+
+def test_fast_sweep_speedup_floor(benchmark):
+    # The sweep path's default: a fleet-shaped grid (the CLI's default
+    # axes at one seed, 64 cells) in-process as built (fast), against
+    # the same cells on the reference pipeline.  Both replay recorded
+    # streams, so the ratio is the kernel's.
+    grids = {"fast": build_fleet_grid(seeds=(1,))}
+    grids["reference"] = [replace(cell, engine_mode="reference")
+                          for cell in grids["fast"]]
+    _run_sweep(grids["fast"])  # compile outside the timed region
+    best = benchmark.pedantic(
+        _best_seconds_interleaved,
+        args=(lambda mode: _run_sweep(grids[mode]),),
+        rounds=1, iterations=1)
+    _check_speedup(best, f"{len(grids['fast'])}-cell fleet grid, workers=1",
+                   sum(c.branches + c.warmup for c in grids["fast"]))
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.workers import usable_cpus
 from repro.configs import PredictorConfig
 from repro.core import LookaheadBranchPredictor
 from repro.engine import CycleEngine, CycleStats, FunctionalEngine
@@ -65,7 +66,7 @@ def sweep_functional(
     """
     if workers is None:
         workers = int(
-            os.environ.get("REPRO_BENCH_WORKERS", min(4, os.cpu_count() or 1))
+            os.environ.get("REPRO_BENCH_WORKERS", min(4, usable_cpus()))
         )
     cells = []
     for job in jobs:

@@ -389,7 +389,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     configs = [(name, GENERATIONS[name][0]()) for name in args.configs]
     cells = make_grid(configs, args.workloads, args.seeds,
                       branches=args.branches, warmup=args.warmup,
-                      backend=args.backend, engine_mode=args.engine_mode)
+                      backend=args.backend)
     if args.telemetry or args.metrics_out or args.telemetry_json:
         for cell in cells:
             cell.telemetry = True
@@ -399,7 +399,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     manifest = build_manifest(
         "sweep",
         backend=args.backend,
-        engine_mode=args.engine_mode,
         branches=args.branches,
         warmup=args.warmup,
         grid={
@@ -493,14 +492,12 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         fault_rates=fault_rates,
         branches=args.branches,
         warmup=args.warmup,
-        engine_modes=args.engine_modes,
     )
     grid_info = {
         "configs": list(args.configs),
         "workloads": list(args.workloads),
         "seeds": seeds,
         "backends": list(args.backends),
-        "engine_modes": list(args.engine_modes),
         "fault_plans": ["none"] + (
             [f"rate={args.fault_rate:g}"] if args.fault_rate > 0 else []
         ),
@@ -510,8 +507,7 @@ def cmd_fleet(args: argparse.Namespace) -> None:
     print(f"fleet sweep: {len(cells)} cells "
           f"({len(args.configs)} configs x {len(args.workloads)} workloads "
           f"x {len(seeds)} seeds x {len(fault_rates)} fault plans "
-          f"x {len(args.backends)} backends "
-          f"x {len(args.engine_modes)} engine modes), "
+          f"x {len(args.backends)} backends), "
           f"{args.branches}+{args.warmup} branches/cell")
     if args.telemetry or args.metrics_out:
         for cell in cells:
@@ -581,7 +577,7 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         print(f"\n{len(failed)} cell(s) failed; see FAILED rows above")
         sys.exit(1)
     if args.require_speedup is not None:
-        cores = os.cpu_count() or 1
+        cores = payload["cpu_count"]
         if cores >= 2 and args.workers >= 2:
             if payload["speedup"] < args.require_speedup:
                 print(f"FAIL: speedup {payload['speedup']:.2f}x below "
@@ -1131,10 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default="object",
                               help="predictor backend every cell runs on "
                                    "(default object)")
-    sweep_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
-                              default="reference",
-                              help="drive mode every cell runs on "
-                                   "(default reference)")
     sweep_parser.add_argument("--branches", type=int, default=6_000)
     sweep_parser.add_argument("--warmup", type=int, default=2_000)
     sweep_parser.add_argument("--profile", action="store_true",
@@ -1164,11 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--backends", nargs="*",
                               choices=sorted(BACKENDS),
                               default=["object", "array"], metavar="BACKEND")
-    fleet_parser.add_argument("--engine-modes", nargs="*",
-                              choices=ENGINE_MODES, default=["reference"],
-                              metavar="MODE",
-                              help="engine-mode axis (default: reference "
-                                   "only; add fast for the full matrix)")
     fleet_parser.add_argument("--fault-rate", type=float, default=0.01,
                               help="fault-plan axis: every cell runs clean "
                                    "and again under a deterministic plan at "
@@ -1182,8 +1169,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--require-speedup", type=float, default=None,
                               metavar="X",
                               help="exit 1 unless speedup >= X (enforced "
-                                   "only with >= 2 cores and >= 2 workers; "
-                                   "the CI gate)")
+                                   "only with >= 2 usable CPUs and >= 2 "
+                                   "workers; the CI gate)")
     fleet_parser.add_argument("--history", metavar="PATH",
                               help="append a fleet bench-history row to "
                                    "this JSONL (repro report renders trend "

@@ -29,10 +29,11 @@ neither the asyncio loop's locks nor its reader threads.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 from typing import Callable, Sequence, Tuple
 
-__all__ = ["Worker"]
+__all__ = ["Worker", "usable_cpus"]
 
 #: Seconds :meth:`Worker.kill` waits to reap a SIGKILLed child.
 _REAP_TIMEOUT = 5.0
@@ -54,6 +55,15 @@ def _child_main(conn, inherited, factory: Callable, args: Sequence) -> None:
         conn.send((msg_id, handler(op, payload)))
         if op == "shutdown":
             return
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``os.cpu_count()`` counts the whole machine)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class Worker:

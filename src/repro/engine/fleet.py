@@ -14,15 +14,16 @@ against parallel; performance numbers themselves come from
 
 ``python -m repro fleet`` is the CLI front end; the CI fleet-smoke job
 runs a reduced grid, fails unless the two passes are equivalent, and
-gates on ``speedup >= 1.0`` whenever the runner has at least two cores.
+gates on ``speedup >= 1.0`` whenever the process may use at least two
+CPUs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.workers import usable_cpus
 from repro.configs import GENERATIONS
 from repro.engine.parallel import CellError, SweepCell, run_cells
 from repro.engine.stream import run_checkpointed
@@ -47,10 +48,9 @@ def build_fleet_grid(
     branches: int = 300,
     warmup: int = 100,
     fault_seed: int = 101,
-    engine_modes: Sequence[str] = ("reference",),
 ) -> List[SweepCell]:
-    """Cross (config × workload × seed × fault plan × backend ×
-    engine mode) into one flat cell list, config-major order.
+    """Cross (config × workload × seed × fault plan × backend) into one
+    flat cell list, config-major order.
 
     Each (workload, seed) Program is built **once** and shared by every
     cell that runs it — the serialize-once registry then transfers it
@@ -79,24 +79,21 @@ def build_fleet_grid(
     cells = []
     for name, config in pairs:
         for backend in backends:
-            for engine_mode in engine_modes:
-                mode_suffix = "" if engine_mode == "reference" else "/fast"
-                for rate in fault_rates:
-                    suffix = f"/f{rate:g}" if rate > 0 else ""
-                    label = f"{name}/{backend}{mode_suffix}{suffix}"
-                    for workload in workloads:
-                        for seed in seeds:
-                            cells.append(SweepCell(
-                                label=label,
-                                config=config,
-                                workload=programs[(workload, seed)],
-                                seed=seed,
-                                branches=branches,
-                                warmup=warmup,
-                                backend=backend,
-                                engine_mode=engine_mode,
-                                fault_plan=plans[rate],
-                            ))
+            for rate in fault_rates:
+                suffix = f"/f{rate:g}" if rate > 0 else ""
+                label = f"{name}/{backend}{suffix}"
+                for workload in workloads:
+                    for seed in seeds:
+                        cells.append(SweepCell(
+                            label=label,
+                            config=config,
+                            workload=programs[(workload, seed)],
+                            seed=seed,
+                            branches=branches,
+                            warmup=warmup,
+                            backend=backend,
+                            fault_plan=plans[rate],
+                        ))
     return cells
 
 
@@ -187,7 +184,7 @@ def run_fleet(
         "schema": FLEET_SCHEMA,
         #: Interprets the speedup: with one core the pool can only add
         #: overhead, so speedup ~<= 1 is the expected reading there.
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "manifest": manifest,
         "grid": grid,
         "payloads": {
@@ -230,10 +227,6 @@ def run_fleet(
                 lambda r: r.label.split("/")[1] if "/" in r.label else "object",
             ),
             "by_workload": _rollup(seq_results, lambda r: r.workload),
-            "by_engine_mode": _rollup(
-                seq_results,
-                lambda r: "fast" if "/fast" in r.label else "reference",
-            ),
         },
     }
     return payload, seq_results, par_results

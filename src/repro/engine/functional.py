@@ -28,7 +28,7 @@ from repro.engine.kernel import (
 from repro.engine.specialize import effective_engine_mode, kernels_for
 from repro.isa.dynamic import DynamicBranch
 from repro.stats.metrics import RunStats
-from repro.workloads.executor import Executor
+from repro.workloads.executor import Executor, StreamRecording, StreamReplay
 from repro.workloads.multi import ContextSwitch, InterleavedRun
 from repro.workloads.program import Program
 
@@ -98,8 +98,27 @@ class FunctionalEngine:
         With *warmup_branches* the first that many branches train the
         predictor without being counted (steady-state measurement).
         """
-        executor = Executor(program, seed=seed)
-        self.predictor.restart(program.entry_point, context=0)
+        return self._drive(Executor(program, seed=seed), program.entry_point,
+                           max_branches, warmup_branches)
+
+    def run_recording(
+        self,
+        recording: StreamRecording,
+        max_branches: int,
+        warmup_branches: int = 0,
+    ) -> RunStats:
+        """Predict a taped executor run exactly as :meth:`run_program`
+        predicts the live one: the same warmup split, the same stats,
+        ``instructions`` included.  The recording must hold
+        ``warmup_branches + max_branches`` branches or more."""
+        return self._drive(StreamReplay(recording), recording.entry_point,
+                           max_branches, warmup_branches)
+
+    def _drive(self, executor, entry_point: int, max_branches: int,
+               warmup_branches: int) -> RunStats:
+        """The warmup and counted phases over *executor*: a live
+        :class:`Executor` or a :class:`StreamReplay`."""
+        self.predictor.restart(entry_point, context=0)
         observer = self.observer
         profile = self.profile
         spans = self.spans

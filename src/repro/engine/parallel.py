@@ -17,11 +17,22 @@ where per-cell pickling of deep-copied Programs dominated the fan-out):
   once in the parent, keyed by a content fingerprint.  Workers receive
   the whole blob cache once, at start, as their factory's argument —
   chunk messages afterwards carry only fingerprints and scalars.
-* **Local per-cell copies.**  A worker materialises a pristine payload
-  per cell with ``pickle.loads`` on its cached blob — the moral
-  equivalent of the old per-cell ``copy.deepcopy``, but from bytes that
-  crossed the pipe once.  The sequential path installs the same blob
-  cache in-process and runs the identical materialisation code.
+* **Local per-cell copies.**  A worker materialises a pristine config
+  (and fault plan) per cell with ``pickle.loads`` on its cached blob —
+  the moral equivalent of the old per-cell ``copy.deepcopy``, but from
+  bytes that crossed the pipe once.  The sequential path installs the
+  same blob cache in-process and runs the identical materialisation
+  code.
+* **Record each stream once.**  A functional cell's branch stream
+  depends only on (program, seed, length), so a worker records it
+  (:class:`~repro.workloads.executor.StreamRecording`) for the first
+  cell with that key and replays it to every later one, which then
+  materialises no program at all.  The first recordings are kept up to
+  :data:`_RECORDING_BUDGET` taped branches; cycle cells step their own
+  executor.
+* **Compile once.**  Fast cells (the default) run the config-specialized
+  kernels; the parent compiles each config shape before it starts the
+  workers, so fork-started workers inherit the kernel cache.
 * **Chunking.**  Cells are dispatched in chunks of ``chunk_size`` to
   amortise dispatch and result IPC; a cell failure inside a chunk is
   caught per cell, so one bad cell never poisons chunkmates.  Each
@@ -93,6 +104,8 @@ from repro.common.errors import SimulationError
 from repro.common.workers import Worker
 from repro.configs.predictor import PredictorConfig
 from repro.engine.functional import FunctionalEngine
+from repro.engine.specialize import config_shape, kernels_for_config
+from repro.workloads.executor import StreamRecording
 from repro.workloads.program import Program
 from repro.workloads.suite import get_workload
 
@@ -123,11 +136,11 @@ class SweepCell:
     #: produce identical stats and fingerprints, so mixing backends
     #: across a sweep is legal and the equivalence check still holds.
     backend: str = "object"
-    #: Engine mode ("reference" or "fast") — fast cells drive the
+    #: Engine mode ("fast" or "reference") — fast cells drive the
     #: config-specialized compiled kernels (:mod:`repro.engine.
     #: specialize`); stats and fingerprints are byte-identical across
     #: modes, so mixing modes across a sweep is legal too.
-    engine_mode: str = "reference"
+    engine_mode: str = "fast"
     #: Attach a telemetry session to the cell's run.  Telemetry is an
     #: observer — it must not (and, by the tier-1 equivalence tests,
     #: does not) change the cell's stats or fingerprint; the session's
@@ -170,7 +183,10 @@ class SweepResult:
     #: ``stats_fingerprint`` of the cell's accuracy RunStats — two
     #: sweeps agree iff these do.
     fingerprint: str
-    #: Wall-clock seconds inside the worker (construction + run).
+    #: Wall-clock seconds inside the worker: the engine's construction
+    #: and run, generating or recording the branch stream included.
+    #: Materialising payloads and building the predictor (and any
+    #: telemetry session or fault injector) happen before the clock.
     elapsed: float
     #: Telemetry registry export (``Telemetry.to_dict()`` plus samples)
     #: for telemetry cells; None otherwise.
@@ -267,6 +283,17 @@ _PAYLOAD_CACHE: Dict[str, bytes] = {}
 #: child never inherits its parent's counters as its own.
 _WORKER_STATS: Dict[str, int] = {}
 
+#: Recorded branch streams, keyed by (program fingerprint or suite
+#: name, seed, warmup + branches); emptied with each blob-cache install,
+#: so a worker records each stream at most once per sweep.
+_RECORDINGS: Dict[Tuple[str, int, int], StreamRecording] = {}
+
+#: Taped branches a process keeps for replay (~225 B each, ~30 MB).
+#: Grids are config-major, so a stream comes back once per config: the
+#: first recordings are kept and later ones are used once and dropped,
+#: where an LRU would evict each stream just before it comes back.
+_RECORDING_BUDGET = 1 << 17
+
 
 def _install_payloads(blobs: Mapping[str, bytes]) -> None:
     """Receive the serialize-once blob cache.
@@ -279,10 +306,11 @@ def _install_payloads(blobs: Mapping[str, bytes]) -> None:
         _WORKER_STATS.clear()
         _WORKER_STATS.update(
             pid=pid, installs=0, materializations=0,
-            payload_blobs=0, payload_bytes=0, cells_run=0,
+            payload_blobs=0, payload_bytes=0, cells_run=0, recordings=0,
         )
     _PAYLOAD_CACHE.clear()
     _PAYLOAD_CACHE.update(blobs)
+    _RECORDINGS.clear()
     _WORKER_STATS["installs"] += 1
     _WORKER_STATS["payload_blobs"] = len(blobs)
     _WORKER_STATS["payload_bytes"] = sum(len(b) for b in blobs.values())
@@ -369,6 +397,22 @@ def cell_fingerprint(cell: SweepCell,
 # ----------------------------------------------------------------------
 
 
+def _recording(key: Tuple[str, int, int],
+               program: Optional[Program]) -> StreamRecording:
+    """The recorded stream for *key*: the kept one, or a new recording
+    of *program*, kept while the budget allows."""
+    recording = _RECORDINGS.get(key)
+    if recording is not None:
+        return recording
+    _, seed, length = key
+    recording = StreamRecording(program, seed, length)
+    _WORKER_STATS["recordings"] = _WORKER_STATS.get("recordings", 0) + 1
+    held = sum(len(kept) for kept in _RECORDINGS.values())
+    if held + len(recording) <= _RECORDING_BUDGET:
+        _RECORDINGS[key] = recording
+    return recording
+
+
 def _run_spec(spec: _CellSpec) -> SweepResult:
     """Run one cell from its spec.  Module-level so it pickles to worker
     processes; the sequential path calls the same function (over the
@@ -377,12 +421,15 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
 
     if spec.prelude is not None:
         spec.prelude(spec)
-    if spec.workload_ref is not None:
-        # Behaviours are stateful — every cell starts from a pristine
+    key = (spec.workload_ref or spec.workload_name, spec.seed,
+           spec.warmup + spec.branches)
+    program = None
+    if spec.engine == "cycle" or key not in _RECORDINGS:
+        # Behaviours are stateful — every run starts from a pristine
         # copy, materialised locally from the serialize-once blob.
-        program = _materialize(spec.workload_ref)
-    else:
-        program = get_workload(spec.workload_name, spec.seed)
+        program = (_materialize(spec.workload_ref)
+                   if spec.workload_ref is not None
+                   else get_workload(spec.workload_name, spec.seed))
     config = _materialize(spec.config_ref)
     from repro.engine.array import create_predictor
 
@@ -418,11 +465,10 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
         engine = FunctionalEngine(predictor, telemetry=session,
                                   injector=injector,
                                   engine_mode=spec.engine_mode)
-        stats = engine.run_program(
-            program,
+        stats = engine.run_recording(
+            _recording(key, program),
             max_branches=spec.branches,
             warmup_branches=spec.warmup,
-            seed=spec.seed,
         )
         accuracy = stats
     elapsed = time.perf_counter() - start
@@ -661,6 +707,7 @@ def stream_cells(
                 yield from emit_ready()
             return
         stats["mode"] = "warm-pool"
+        _compile_kernels(cells[i] for i in pending)
         pool.extend(Worker(_sweep_worker, (registry.blobs,),
                            name=f"repro-sweep-{n}")
                     for n in range(min(workers, len(queue))))
@@ -676,8 +723,20 @@ def stream_cells(
         # consumer stopped early), the sweep kills them.
         for worker in pool:
             worker.kill()
+        _RECORDINGS.clear()  # the sequential path's, held in-process
         if spans:
             stats["phase_latency"] = spans.phase_latency()
+
+
+def _compile_kernels(cells: Iterable[SweepCell]) -> None:
+    """Compile the kernels of each config shape the fast *cells* use,
+    once, in this process: fork-started workers inherit the cache
+    instead of each compiling every shape again (other start methods
+    compile in the worker, as a sequential run does)."""
+    shapes = {config_shape(cell.config): cell.config
+              for cell in cells if cell.engine_mode == "fast"}
+    for config in shapes.values():
+        kernels_for_config(config)
 
 
 def _supervise(pool: List[Worker], queue: List, specs: List[_CellSpec],
@@ -812,7 +871,6 @@ def make_grid(
     branches: int = 8000,
     warmup: int = 4000,
     backend: str = "object",
-    engine_mode: str = "reference",
 ) -> List[SweepCell]:
     """Cross (config × workload × seed) into cells, config-major order."""
     return [
@@ -824,7 +882,6 @@ def make_grid(
             branches=branches,
             warmup=warmup,
             backend=backend,
-            engine_mode=engine_mode,
         )
         for label, config in configs
         for workload in workloads

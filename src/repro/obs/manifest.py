@@ -27,6 +27,8 @@ import platform
 import sys
 from typing import Dict, Optional
 
+from repro.common.workers import usable_cpus
+
 #: Version tag in every manifest.
 MANIFEST_SCHEMA = "repro-manifest/v1"
 
@@ -50,7 +52,7 @@ def host_info() -> Dict[str, object]:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "executable": os.path.basename(sys.executable or "python"),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
     }
 
 

@@ -4,12 +4,14 @@ Walks a :class:`~repro.workloads.program.Program` from its entry point,
 resolving each branch through its behaviour, and yields the executed
 branches in program order — the resolved path the predictor is measured
 against.  Non-branch instructions are counted (for MPKI) but not
-yielded.
+yielded.  A :class:`StreamRecording` tapes one run so it can be
+replayed, instruction counts included, without executing the program
+again.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
@@ -131,3 +133,51 @@ class Executor:
     @property
     def next_sequence(self) -> int:
         return self._sequence
+
+
+class StreamRecording:
+    """One branch-limited executor run, taped for replay.
+
+    Keeps the :class:`DynamicBranch` records the run yielded (immutable,
+    so any number of replays can share them) and the executor's
+    ``instructions_executed`` right after each.  The stream depends only
+    on the program and the seed — never on who consumes it — so a sweep
+    worker records each (program, seed, length) once and replays it to
+    every cell that would otherwise regenerate it.
+    """
+
+    __slots__ = ("entry_point", "branches", "instructions")
+
+    def __init__(self, program: Program, seed: int, max_branches: int):
+        executor = Executor(program, seed=seed)
+        self.entry_point = program.entry_point
+        self.branches: List[DynamicBranch] = []
+        self.instructions: List[int] = []
+        for branch in executor.run(max_branches=max_branches):
+            self.branches.append(branch)
+            self.instructions.append(executor.instructions_executed)
+
+    def __len__(self) -> int:
+        return len(self.branches)
+
+
+class StreamReplay:
+    """An :class:`Executor` stand-in that plays a recording back: ``run``
+    yields the taped branches, and ``instructions_executed`` reads what
+    the live executor read at the same point of its run."""
+
+    def __init__(self, recording: StreamRecording):
+        self.recording = recording
+        self.instructions_executed = 0
+
+    def run(self, max_branches: int) -> Iterator[DynamicBranch]:
+        recording = self.recording
+        if max_branches > len(recording):
+            raise ValueError(
+                f"recording holds {len(recording)} branches, "
+                f"{max_branches} requested"
+            )
+        for branch, executed in zip(recording.branches[:max_branches],
+                                    recording.instructions):
+            self.instructions_executed = executed
+            yield branch

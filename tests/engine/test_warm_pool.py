@@ -7,14 +7,23 @@ must keep verbatim at ``chunk_size=1``); this module locks down what
 the warm pool *adds* — each distinct payload pickled once in the
 parent and installed once per worker, multi-cell chunks whose failures
 are caught per cell, an incremental result stream that never reorders
-or drops a row, and resume via pre-filled ``completed`` slots.
+or drops a row, resume via pre-filled ``completed`` slots, and fast
+cells that run kernels compiled before fork over branch streams
+recorded once per worker, tied back to an independent reference run.
 """
 
 import copy
+import functools
+import multiprocessing
+import pickle
 
 import pytest
 
 from repro.configs import z15_config
+from repro.engine import specialize
+from repro.engine.array import create_predictor
+from repro.engine.fleet import build_fleet_grid
+from repro.engine.functional import FunctionalEngine
 from repro.engine.parallel import (
     CellError,
     PayloadRegistry,
@@ -24,6 +33,15 @@ from repro.engine.parallel import (
     run_cells,
     stream_cells,
 )
+from repro.engine.specialize import ENGINE_MODES
+from repro.obs.session import TelemetrySession
+from repro.resilience import FaultInjector, FaultPlan
+from repro.verification.differential import (
+    comparable_stats,
+    stats_fingerprint,
+)
+from repro.workloads import get_workload
+from repro.workloads.executor import StreamRecording
 
 from tests.conftest import (
     build_medium_program,
@@ -357,3 +375,127 @@ def test_sequential_path_has_no_result_blob_accounting():
     assert stats["result_blobs"] == 0
     assert stats["result_bytes"] == 0
     assert stats["result_bytes_saved"] == 0
+
+
+# ----------------------------------------------------------------------
+# Fast cells, compiled once, over recorded streams
+# ----------------------------------------------------------------------
+
+
+def _reduced_fleet(**axes):
+    """Both kernel shapes (zEC12, z15), both backends, fault-free and
+    1% faults, two workloads, one seed: 16 cells."""
+    options = dict(configs=("zEC12", "z15"),
+                   workloads=("transactions", "patterned"), seeds=(1,))
+    options.update(axes)
+    return build_fleet_grid(**options)
+
+
+def _reference_run(cell):
+    """The oracle: a reference-mode engine stepping a live executor over
+    a pristine copy of the cell's program — no recording, no kernel —
+    built the way the benchmark's fleet replay builds a cell."""
+    predictor = create_predictor(pickle.loads(pickle.dumps(cell.config)),
+                                 cell.backend)
+    injector = (FaultInjector(predictor, cell.fault_plan)
+                if cell.fault_plan is not None else None)
+    engine = FunctionalEngine(predictor, injector=injector,
+                              engine_mode="reference")
+    return engine.run_program(pickle.loads(pickle.dumps(cell.workload)),
+                              max_branches=cell.branches,
+                              warmup_branches=cell.warmup, seed=cell.seed)
+
+
+def test_fleet_cells_equal_an_independent_reference_run():
+    cells = _reduced_fleet()
+    assert {cell.engine_mode for cell in cells} == {"fast"}
+    results = run_cells(cells, workers=2, chunk_size=4)
+    for cell, result in zip(cells, results):
+        oracle = _reference_run(cell)
+        assert result.fingerprint == stats_fingerprint(oracle), cell.label
+        assert result.stats.instructions == oracle.instructions
+
+
+@pytest.mark.parametrize("engine_mode", ENGINE_MODES)
+@pytest.mark.parametrize("attach", ["bare", "telemetry", "faults"])
+@pytest.mark.parametrize("warmup", [0, 150])
+def test_recorded_stream_replays_to_identical_stats(warmup, attach,
+                                                    engine_mode):
+    program = get_workload("transactions", 3)
+    recording = StreamRecording(copy.deepcopy(program), 3, warmup + 400)
+    runs = []
+    for replay in (False, True):
+        predictor = create_predictor(z15_config(), "object")
+        session = (TelemetrySession(predictor=predictor, interval=100,
+                                    skip=warmup)
+                   if attach == "telemetry" else None)
+        injector = (FaultInjector(predictor,
+                                  FaultPlan(seed=5, rate=0.02).validate())
+                    if attach == "faults" else None)
+        engine = FunctionalEngine(predictor, telemetry=session,
+                                  injector=injector, engine_mode=engine_mode)
+        if replay:
+            stats = engine.run_recording(recording, max_branches=400,
+                                         warmup_branches=warmup)
+        else:
+            stats = engine.run_program(copy.deepcopy(program),
+                                       max_branches=400,
+                                       warmup_branches=warmup, seed=3)
+        runs.append((comparable_stats(stats), stats.instructions,
+                     injector.component_counters() if injector else None))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 400
+
+
+def test_cells_sharing_a_stream_record_it_once():
+    # 4 configs x 2 backends x 2 fault plans over one (program, seed,
+    # length): one chunk, so one worker runs all 16 cells.
+    cells = build_fleet_grid(workloads=("patterned",), seeds=(1,))
+    assert len(cells) == 16
+    stats: dict = {}
+    results = run_cells(cells, workers=2, chunk_size=16, pool_stats=stats)
+    assert all(isinstance(r, SweepResult) for r in results)
+    (worker,) = stats["workers"].values()
+    assert worker["cells_run"] == 16
+    assert worker["recordings"] == 1
+    # Only the recording cell materialised the program; every cell
+    # materialised its config, faulted cells their plan too.
+    assert worker["materializations"] == 1 + 16 + 8
+
+
+def test_streams_beyond_the_budget_still_match_sequential(monkeypatch):
+    # Room for one 400-branch stream: the first (transactions) is kept,
+    # and each of the four patterned cells records its stream again.
+    monkeypatch.setattr("repro.engine.parallel._RECORDING_BUDGET", 500)
+    cells = _reduced_fleet(fault_rates=(0.0,))
+    stats: dict = {}
+    parallel_results = run_cells(cells, workers=2, chunk_size=len(cells),
+                                 pool_stats=stats)
+    (worker,) = stats["workers"].values()
+    assert worker["recordings"] == 1 + 4
+    monkeypatch.undo()
+    sequential = run_cells(copy.deepcopy(cells), workers=1)
+    assert [r.fingerprint for r in parallel_results] == [
+        r.fingerprint for r in sequential
+    ]
+
+
+def _assert_kernels_compiled(shapes, spec):
+    missing = set(shapes) - set(specialize._CACHE)
+    if missing:
+        raise AssertionError(f"{spec.label}: shapes {missing} not compiled")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers inherit the parent's kernels by fork")
+def test_workers_inherit_kernels_compiled_before_fork():
+    cells = _reduced_fleet(backends=("object",), fault_rates=(0.0,))
+    shapes = {specialize.config_shape(cell.config) for cell in cells}
+    assert len(shapes) == 2
+    for cell in cells:
+        cell.prelude = functools.partial(_assert_kernels_compiled, shapes)
+    specialize.clear_kernel_cache()
+    results = run_cells(cells, workers=2, chunk_size=1, retries=0)
+    assert all(isinstance(r, SweepResult) for r in results), [
+        r.message for r in results if isinstance(r, CellError)
+    ]

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main
 
 
@@ -105,7 +110,7 @@ DEFAULTS = {
     "sweep": {
         "configs": GENERATION_NAMES,
         "workloads": ["compute-kernel", "transactions"], "seeds": [1],
-        "backend": "object", "engine_mode": "reference", "branches": 6_000,
+        "backend": "object", "branches": 6_000,
         "warmup": 2_000, "workers": 1, "chunk_size": 1, "profile": False,
         "profile_top": 15, "telemetry": False, "telemetry_json": None,
         "cell_timeout": None, "cell_retries": 1, "stream_out": None,
@@ -117,7 +122,7 @@ DEFAULTS = {
         "workloads": ["compute-kernel", "transactions", "dispatch",
                       "patterned"],
         "seed_count": 8, "backends": ["object", "array"],
-        "engine_modes": ["reference"], "fault_rate": 0.01, "branches": 300,
+        "fault_rate": 0.01, "branches": 300,
         "warmup": 100, "workers": 2, "chunk_size": 16, "cell_timeout": None,
         "cell_retries": 1, "json": None, "stream_out": None,
         "strict": False, "resume": None, "require_speedup": None,
@@ -385,7 +390,7 @@ def test_sweep_metrics_out_rolls_up_cells(capsys, tmp_path):
             "500", "--warmup", "100", "--metrics-out", path)
     groups = parse_openmetrics(open(path).read())
     label_sets = [dict(labels) for labels, _ in groups]
-    assert {"backend": "object", "engine_mode": "reference",
+    assert {"backend": "object", "engine_mode": "fast",
             "workload": "transactions"} in label_sets
     assert {} in label_sets  # unlabeled grand total
 
@@ -457,6 +462,27 @@ def test_fleet_history_and_report_dashboard(capsys, tmp_path):
     assert "## Fleet" in out
     assert "Trend vs previous run" in out
     assert "fleet.sequential.bps" in out
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs a CPU affinity mask")
+def test_fleet_speedup_gate_counts_the_cpus_it_may_use():
+    # Pinned to one CPU of a bigger machine, the pool cannot beat the
+    # sequential pass, so the gate must skip rather than fail.
+    cpu = min(os.sched_getaffinity(0))
+    child = (f"import os, sys\nos.sched_setaffinity(0, {{{cpu}}})\n"
+             "from repro.__main__ import main\nmain(sys.argv[1:])\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", child, *TINY_FLEET, "--require-speedup",
+         "1.0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "on 1 core(s)" in result.stdout
+    assert "speedup gate skipped" in result.stdout
 
 
 def test_fleet_resume_inherits_every_cell(capsys, tmp_path):
