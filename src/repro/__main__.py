@@ -535,6 +535,12 @@ def cmd_fleet(args: argparse.Namespace) -> None:
           f"{payload['parallel']['wall_seconds']:.2f}s "
           f"({payload['parallel']['branches_per_second']:,.0f} branches/s, "
           f"{payload['parallel']['chunks_dispatched']} chunks)")
+    parallel = payload["parallel"]
+    if parallel["setup_seconds"]:  # zero when no worker process ran
+        worker_seconds = parallel["workers"] * parallel["wall_seconds"]
+        print(f"cell set-up in workers: {parallel['setup_seconds']:.2f}s "
+              f"({parallel['setup_seconds'] / worker_seconds:.1%} of "
+              f"{worker_seconds:.2f}s worker time)")
     print(f"speedup {payload['speedup']:.2f}x on {payload['cpu_count']} "
           f"core(s), equivalent={payload['equivalent']}, "
           f"failed_cells={payload['failed_cells']}")

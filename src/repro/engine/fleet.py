@@ -209,6 +209,12 @@ def run_fleet(
             "branches_per_second": total_branches / par_wall,
             "chunks_dispatched": par_stats.get("chunks_dispatched", 0),
             "pool_breaks": par_stats.get("pool_breaks", 0),
+            #: Summed over workers: per-cell set-up outside the cell
+            #: clocks (payloads, predictor, telemetry, injector).
+            "setup_seconds": sum(
+                stats.get("setup_seconds", 0.0)
+                for stats in par_stats.get("workers", {}).values()
+            ),
             "worker_installs": {
                 str(pid): stats.get("installs", 0)
                 for pid, stats in sorted(

@@ -281,7 +281,9 @@ _PAYLOAD_CACHE: Dict[str, bytes] = {}
 
 #: Worker-side instrumentation, keyed to the owning pid so a forked
 #: child never inherits its parent's counters as its own.
-_WORKER_STATS: Dict[str, int] = {}
+#: ``setup_seconds`` sums each cell's time before its ``elapsed`` clock
+#: starts (payloads, predictor, telemetry session, injector).
+_WORKER_STATS: Dict[str, float] = {}
 
 #: Recorded branch streams, keyed by (program fingerprint or suite
 #: name, seed, warmup + branches); emptied with each blob-cache install,
@@ -307,6 +309,7 @@ def _install_payloads(blobs: Mapping[str, bytes]) -> None:
         _WORKER_STATS.update(
             pid=pid, installs=0, materializations=0,
             payload_blobs=0, payload_bytes=0, cells_run=0, recordings=0,
+            setup_seconds=0.0,
         )
     _PAYLOAD_CACHE.clear()
     _PAYLOAD_CACHE.update(blobs)
@@ -421,6 +424,7 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
 
     if spec.prelude is not None:
         spec.prelude(spec)
+    entry = time.perf_counter()
     key = (spec.workload_ref or spec.workload_name, spec.seed,
            spec.warmup + spec.branches)
     program = None
@@ -452,6 +456,9 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
 
         injector = FaultInjector(predictor, _materialize(spec.fault_ref))
     start = time.perf_counter()
+    _WORKER_STATS["setup_seconds"] = (
+        _WORKER_STATS.get("setup_seconds", 0.0) + start - entry
+    )
     if spec.engine == "cycle":
         from repro.engine.cycle import CycleEngine
 

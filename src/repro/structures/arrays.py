@@ -108,6 +108,17 @@ class PackedLanes:
 
     Mutations are rare next to probes, so maintaining both views costs
     nothing measurable on the prediction path.
+
+    A row's tag list is built on its first :meth:`set`; until then
+    ``tags[row]`` is ``None`` and every reader takes the row as all
+    EMPTY.  This is the decision :class:`~repro.structures.assoc.
+    SetAssociativeTable` documents: a z15 BTB2 has 32K rows and short
+    runs touch a few hundred, and building every row's list made a z15
+    array predictor take 11.5 ms to construct instead of 0.76 ms
+    (medians on a 2-vCPU x86-64 container; docs/INTERNALS.md §12).  A
+    probe reads ``tags[row]`` only after the row's valid word is
+    nonzero, and only :meth:`set` makes it nonzero, so the probes need
+    no check.
     """
 
     __slots__ = (
@@ -132,8 +143,9 @@ class PackedLanes:
         #: One packed-tag int and one valid-guard-bit int per row.
         self.packed: List[int] = [0] * rows
         self.valid: List[int] = [0] * rows
-        #: The C-scannable view: ``tags[row][way]`` is the tag or EMPTY.
-        self.tags: List[List[int]] = [[-1] * ways for _ in range(rows)]
+        #: The C-scannable view: ``tags[row][way]`` is the tag or EMPTY,
+        #: and ``tags[row]`` is None until the row's first ``set``.
+        self.tags: List[Optional[List[int]]] = [None] * rows
 
     def set(self, row: int, way: int, tag: int) -> None:
         """Make *way* valid with *tag* (overwriting any previous lane)."""
@@ -141,19 +153,22 @@ class PackedLanes:
         lane_mask = ((1 << self.tag_bits) - 1) << shift
         self.packed[row] = (self.packed[row] & ~lane_mask) | (tag << shift)
         self.valid[row] |= 1 << (shift + self.tag_bits)
-        self.tags[row][way] = tag
+        tags = self.tags[row]
+        if tags is None:
+            tags = self.tags[row] = [-1] * self.ways
+        tags[way] = tag
 
     def clear_way(self, row: int, way: int) -> None:
         """Invalidate one lane (the packed tag bits may stay stale)."""
         self.valid[row] &= ~(1 << (way * self.lane_bits + self.tag_bits))
-        self.tags[row][way] = -1
+        tags = self.tags[row]
+        if tags is not None:
+            tags[way] = -1
 
     def clear_all(self) -> None:
-        for row in range(self.rows):
-            self.valid[row] = 0
-        ways = self.ways
-        for tags in self.tags:
-            tags[:] = [-1] * ways
+        # In place: the mirror subclasses hold these lists for probes.
+        self.valid[:] = [0] * self.rows
+        self.tags[:] = [None] * self.rows
 
     def match(self, row: int, tag: int) -> int:
         """Guard-position bitmask of valid ways whose tag equals *tag*
@@ -167,6 +182,8 @@ class PackedLanes:
     def match_ways(self, row: int, tag: int) -> List[int]:
         """Matching way indices in ascending order (object scan order)."""
         tags = self.tags[row]
+        if tags is None:
+            return []
         count = tags.count(tag)
         ways = []
         start = 0
@@ -197,8 +214,9 @@ class PackedLanes:
     def view_violations(self, name: str) -> List[str]:
         """Cross-check the packed/SWAR view against the tag-array view."""
         violations = []
+        empty = [-1] * self.ways
         for row in range(self.rows):
-            tags = self.tags[row]
+            tags = self.tags[row] or empty
             for way in range(self.ways):
                 tag = tags[way]
                 if tag < 0:

@@ -463,6 +463,16 @@ def test_cells_sharing_a_stream_record_it_once():
     assert worker["materializations"] == 1 + 16 + 8
 
 
+def test_workers_report_cell_setup_outside_the_cell_clock():
+    cells = _reduced_fleet(configs=("z15",), fault_rates=(0.0,))
+    assert {cell.backend for cell in cells} == {"object", "array"}
+    stats: dict = {}
+    run_cells(cells, workers=2, pool_stats=stats)
+    assert len(stats["workers"]) == 2
+    for pid, worker in stats["workers"].items():
+        assert worker["setup_seconds"] > 0, pid
+
+
 def test_streams_beyond_the_budget_still_match_sequential(monkeypatch):
     # Room for one 400-branch stream: the first (transactions) is kept,
     # and each of the four patterned cells records its stream again.

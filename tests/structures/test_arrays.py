@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.configs import GENERATIONS
 from repro.configs.predictor import (
     Btb1Config,
     Btb2Config,
@@ -34,7 +35,10 @@ from repro.core.entries import BtbEntry
 from repro.core.gpv import GlobalPathVector
 from repro.core.perceptron import Perceptron
 from repro.core.tage import TagePht
+from repro.engine.array import create_predictor
+from repro.engine.functional import FunctionalEngine
 from repro.isa.instructions import BranchKind
+from repro.resilience import FaultInjector, FaultPlan
 from repro.structures.arrays import (
     ArrayBtb1,
     ArrayBtb2,
@@ -43,6 +47,7 @@ from repro.structures.arrays import (
     PackedLanes,
     _ArrayTageTable,
 )
+from repro.workloads import get_workload
 
 SEED = 20260808
 
@@ -174,13 +179,53 @@ class TestPackedLanes:
         lanes.set(0, 0, 7)
         # Seed all three desync shapes directly into the views.
         lanes.tags[0][0] = 9                     # packed tag != tag view
-        lanes.tags[1][1] = 3                     # tag view valid, packed not
+        lanes.tags[1] = [-1, 3]                  # tag view valid, packed not
         lanes.valid[1] |= 1 << (0 * lanes.lane_bits + lanes.tag_bits)
         violations = lanes.view_violations("x")
         assert len(violations) == 3
         assert any("packed tag" in v for v in violations)
         assert any("empty in tag view" in v for v in violations)
         assert any("not in packed view" in v for v in violations)
+        # A row not built yet reads as all EMPTY, so a stray valid bit
+        # on it is caught too.
+        lanes.clear_all()
+        lanes.valid[1] |= 1 << lanes.tag_bits
+        assert lanes.view_violations("x") == [
+            "x lanes[row=1,way=0] valid in packed view but empty in tag view"
+        ]
+
+
+def _built_rows(rows):
+    return {row for row, built in enumerate(rows) if built is not None}
+
+
+@pytest.mark.parametrize("generation", sorted(GENERATIONS))
+def test_lane_rows_are_built_on_first_write(generation):
+    """Construction builds no tag row (a z15 BTB2 has 32K), and a run
+    builds only rows the object table under each mirror built too."""
+    factory, _ = GENERATIONS[generation]
+    predictor = create_predictor(factory(), "array")
+    tage = predictor.tage
+    mirrored = [
+        (name, structure._lanes, structure._table)
+        for name, structure in (
+            ("btb1", predictor.btb1), ("btb2", predictor.btb2),
+            ("tage-short", tage.short_table), ("tage-long", tage.long_table),
+        )
+        if structure is not None
+    ]
+    for name, lanes, _table in mirrored:
+        assert _built_rows(lanes.tags) == set(), name
+    injector = FaultInjector(predictor, FaultPlan(seed=7, rate=0.01))
+    FunctionalEngine(predictor, injector=injector).run_program(
+        get_workload("transactions", 1), max_branches=4000,
+        warmup_branches=0, seed=1,
+    )
+    assert injector.events
+    assert predictor.audit() == []
+    assert _built_rows(predictor.btb1._lanes.tags)
+    for name, lanes, table in mirrored:
+        assert _built_rows(lanes.tags) <= _built_rows(table._data), name
 
 
 # ======================================================================
