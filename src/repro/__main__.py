@@ -45,8 +45,9 @@ Commands:
   ``serve`` instance, retrying clean rejections, and audit that the
   client-folded fingerprint chain matches the server's.
 * ``serve-chaos`` — seeded fault-injection scenarios (shard kill/hang/
-  slow, torn checkpoints, queue floods, eviction churn) against a live
-  server, with liveness / exactness / accounting audits.
+  slow, torn checkpoints, queue floods, eviction churn, a kill while a
+  snapshot is being written) against a live server, with liveness /
+  exactness / accounting audits.
 * ``workloads`` — list the standard workloads.
 
 ``sweep --resume``, ``fleet --resume``, ``trace --validate``,
@@ -1377,12 +1378,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = sub.add_parser(
         "serve-chaos",
         help="seeded fault-injection scenarios against a live server: "
-             "kill/hang/slow/torn/flood/churn with liveness, exactness "
-             "and accounting audits")
+             "kill/hang/slow/torn/flood/churn/snapshot-kill with "
+             "liveness, exactness and accounting audits")
     chaos_parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
                               help="scenario names (default: all of "
                                    "baseline, kill, hang, slow, torn, "
-                                   "flood, churn)")
+                                   "flood, churn, snapshot-kill)")
     chaos_parser.add_argument("--seed", type=int, default=1,
                               help="seeds fault timing, targets and "
                                    "tenant traffic (default 1)")

@@ -37,16 +37,18 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Tuple, Union
 
 __all__ = [
     "append_line",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
+    "commit_temp",
     "discard_stale_temps",
     "durable_flush",
     "fsync_directory",
+    "temp_sibling",
 ]
 
 #: Infix marking the temporary siblings of in-flight atomic writes.
@@ -82,6 +84,28 @@ def durable_flush(stream: IO) -> None:
     os.fsync(stream.fileno())
 
 
+def temp_sibling(path: Union[str, Path]) -> Tuple[int, str]:
+    """Create the temporary sibling an atomic write of *path* goes
+    through: ``(fd, name)``, the name carrying :data:`TMP_MARKER`.  The
+    first half of :func:`atomic_write_bytes`, for writers that fill the
+    temp elsewhere (a forked child) and :func:`commit_temp` it later.
+    """
+    target = Path(path)
+    directory = target.parent if str(target.parent) else Path(".")
+    return tempfile.mkstemp(prefix=target.name + TMP_MARKER,
+                            dir=str(directory))
+
+
+def commit_temp(tmp_name: str, path: Union[str, Path]) -> Path:
+    """Rename a written and fsynced temp sibling onto *path*, then fsync
+    the directory so the rename itself is durable.  The second half of
+    :func:`atomic_write_bytes`."""
+    target = Path(path)
+    os.replace(tmp_name, str(target))
+    fsync_directory(target.parent if str(target.parent) else Path("."))
+    return target
+
+
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
     """Write *data* to *path* atomically: temp sibling, fsync, rename.
 
@@ -89,17 +113,13 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
     previous file content or the new one, never a mix; the temp file
     uses :data:`TMP_MARKER` so a stale leftover is recognisable.
     """
-    target = Path(path)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=target.name + TMP_MARKER, dir=str(directory)
-    )
+    fd, tmp_name = temp_sibling(path)
     try:
         with os.fdopen(fd, "wb") as stream:
             stream.write(data)
             stream.flush()
             os.fsync(stream.fileno())
-        os.replace(tmp_name, str(target))
+        return commit_temp(tmp_name, path)
     except BaseException:
         # The write never happened as far as readers are concerned;
         # remove the orphan so it cannot be mistaken for anything.
@@ -108,8 +128,6 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
         except OSError:
             pass
         raise
-    fsync_directory(directory)
-    return target
 
 
 def atomic_write_text(path: Union[str, Path], text: str,

@@ -31,6 +31,7 @@ import random
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.atomic import TMP_MARKER
 from repro.common.errors import ServeError
 from repro.common.jsonl import iter_jsonl
 from repro.serve.client import (
@@ -44,7 +45,12 @@ from repro.serve.shard import TenantState
 
 CHAOS_SCHEMA = "repro-chaos/v1"
 
-SCENARIOS = ("baseline", "kill", "hang", "slow", "torn", "flood", "churn")
+SCENARIOS = ("baseline", "kill", "hang", "slow", "torn", "flood", "churn",
+             "snapshot-kill")
+
+#: How long the armed snapshot child of ``snapshot-kill`` sleeps before
+#: it writes: the kill lands well inside this window.
+_SNAPSHOT_STALL_S = 1.5
 
 #: Workloads cycled across tenants (diverse branch behaviour).
 _WORKLOADS = ("transactions", "dispatch", "services", "correlated")
@@ -57,7 +63,8 @@ def _plans(name: str, seed: int, tenants: int, branches: int,
     # Pace the fault scenarios so the injection window is real: an
     # unpaced run finishes in milliseconds and the fault lands on a
     # drained server.
-    pace = {"kill": 0.03, "hang": 0.05, "torn": 0.03}.get(name, 0.0)
+    pace = {"kill": 0.03, "hang": 0.05, "torn": 0.03,
+            "snapshot-kill": 0.05}.get(name, 0.0)
     return [
         TenantPlan(
             f"tenant-{index}",
@@ -104,7 +111,8 @@ async def _drive(name: str, server: PredictorServer, rng: random.Random,
                  plans: Sequence[TenantPlan],
                  done: asyncio.Event) -> Dict:
     """Inject this scenario's faults while the loadgen runs."""
-    injected = {"kills": 0, "hangs": 0, "torn": 0, "slowed": 0}
+    injected = {"kills": 0, "hangs": 0, "torn": 0, "slowed": 0,
+                "snapshot_kills": 0}
     if name in ("baseline", "flood", "churn"):
         return injected
     admin = await ServeClient.connect("127.0.0.1", server.port)
@@ -149,6 +157,14 @@ async def _drive(name: str, server: PredictorServer, rng: random.Random,
                         await admin.chaos(mode="clear", shard=shard)
                     except ServeError:
                         pass
+        elif name == "snapshot-kill":
+            if await _wait_for_answers(server, 1, done):
+                plan = plans[rng.randrange(len(plans))]
+                session = server.sessions.get(plan.tenant)
+                if session is not None and await _kill_during_snapshot(
+                        server, admin, plan.tenant, session.shard_index):
+                    injected["kills"] += 1
+                    injected["snapshot_kills"] += 1
         elif name == "torn":
             if await _wait_for_answers(server, 3, done):
                 plan = plans[rng.randrange(len(plans))]
@@ -163,6 +179,36 @@ async def _drive(name: str, server: PredictorServer, rng: random.Random,
     finally:
         await admin.aclose()
     return injected
+
+
+async def _kill_during_snapshot(server: PredictorServer, admin: ServeClient,
+                               tenant: str, shard: int,
+                               limit: float = 15.0) -> bool:
+    """Stall *tenant*'s next snapshot child, wait until it is in flight,
+    then SIGKILL its shard and hold until the supervisor restarted it.
+    False when no snapshot started within *limit* seconds."""
+    await admin.chaos(mode="stall-snapshot", shard=shard, tenant=tenant,
+                      seconds=_SNAPSHOT_STALL_S)
+    waited = 0.0
+    while waited < limit:
+        reply = await admin.stats(tenant)
+        if reply.get("snapshots", {}).get("in_flight"):
+            break
+        await asyncio.sleep(0.01)
+        waited += 0.01
+    else:
+        return False
+    restarts = server.metrics.restarts
+    await admin.chaos(mode="kill", shard=shard)
+    while server.metrics.restarts == restarts and waited < limit:
+        await asyncio.sleep(0.05)
+        waited += 0.05
+    return True
+
+
+def _stranded_temps(spool_dir: Path) -> List[str]:
+    return sorted(path.name for path in spool_dir.glob("tenants/*/*")
+                  if TMP_MARKER in path.name)
 
 
 def _audit_events(spool_dir: Path) -> Dict[str, int]:
@@ -263,6 +309,15 @@ async def run_scenario(name: str, seed: int,
         _check(checks, "injected-faults-caused-restarts",
                metrics["restarts"] >= faults,
                f"injected={faults} restarts={metrics['restarts']}")
+    if name == "snapshot-kill":
+        _check(checks, "kill-landed-during-snapshot",
+               injected["snapshot_kills"] > 0,
+               f"snapshot_kills={injected['snapshot_kills']}")
+        # Recovery deleted the killed child's temp, and nothing the
+        # child did afterwards could recreate it.
+        stranded = _stranded_temps(spool)
+        _check(checks, "no-stranded-snapshot-temps", not stranded,
+               ",".join(stranded))
     if name == "flood":
         flood_rejects = metrics["rejected"].get("queue-full", 0) + \
             metrics["rejected"].get("shed", 0)

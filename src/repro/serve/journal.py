@@ -17,28 +17,40 @@ the paper's two-level BTB hierarchy:
   evictions and re-warms, which are journaled too (a save → load round
   trip of identical state is itself deterministic).
 
-Snapshots compact the journal: an atomic pickle of the full warm state
-is written first, *then* the journal is rotated down to a fresh header.
-A crash between the two steps is benign — recovery skips journal events
-at or below the snapshot's sequence number.  A crash mid-append tears
-at most the final journal line, which the loader drops: a torn batch
-was by construction never answered, so dropping it is the only correct
-reading.
+Snapshots compact the journal, and they are written off the request
+path, like the z15's lookahead, which never stalls a search on a table
+write.  :class:`SnapshotWrite` forks: the child pickles the snapshot
+into a temp sibling, fsyncs it and leaves through ``os._exit``, while
+the shard keeps serving, with :meth:`JournalWriter.mark` noting where
+the journal stood at the fork.  Only the shard commits: once the child
+has exited cleanly it renames the temp onto the snapshot, fsyncs the
+directory, and :meth:`JournalWriter.rotate` cuts the journal down to
+its header plus the lines appended after the mark.  A crash before the
+rename leaves the previous snapshot and the full journal (plus a
+stranded temp, which recovery deletes); a crash between rename and
+rotation leaves events recovery skips by sequence number.  A crash
+mid-append tears at most the final journal line, which the loader
+drops: a torn batch was by construction never answered, so dropping it
+is the only correct reading.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import pickle
+import time
+import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.atomic import (
     append_line,
     atomic_write_bytes,
-    atomic_write_text,
+    commit_temp,
+    temp_sibling,
 )
 from repro.common.errors import JournalError
 from repro.common.jsonl import format_location, iter_jsonl
@@ -47,6 +59,10 @@ JOURNAL_SCHEMA = "repro-serve-journal/v1"
 SNAPSHOT_SCHEMA = "repro-serve-snapshot/v1"
 
 JOURNAL_EVENT_TYPES = ("batch", "evict", "restore")
+
+#: Descriptors a snapshot child closes run up to this bound (read in
+#: the parent: the child makes no call it does not need).
+_MAX_FD = os.sysconf("SC_OPEN_MAX") if hasattr(os, "sysconf") else 256
 
 
 class TenantPaths:
@@ -84,6 +100,9 @@ class JournalWriter:
         self.path = Path(path)
         self.header = dict(header)
         self.tear_after_bytes: Optional[int] = None
+        #: Byte length of the journal at the last :meth:`mark`: the
+        #: next :meth:`rotate` keeps what was appended beyond it.
+        self._mark: Optional[int] = None
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._stream: Optional[io.TextIOWrapper] = open(
             self.path, "a", encoding="utf-8"
@@ -111,19 +130,39 @@ class JournalWriter:
             raise JournalError(f"unknown journal event {event.get('type')!r}")
         self._append_obj(event)
 
-    def rotate(self) -> None:
-        """Compact: replace the journal with a lone header.
+    def mark(self) -> None:
+        """Note where the journal ends: a snapshot of the state up to
+        here is being written.  Every append is flushed, so the file's
+        size is the end."""
+        if self._stream is None:
+            raise ValueError("journal writer is closed")
+        self._mark = os.fstat(self._stream.fileno()).st_size
 
-        Called *after* the snapshot landed; a crash in between leaves
-        stale events recovery skips by sequence number.
+    def rotate(self) -> None:
+        """Compact: replace the journal with its header plus the lines
+        appended since the last :meth:`mark` (none without a mark).
+
+        Called *after* the snapshot taken at the mark landed; the lines
+        kept are the ones that snapshot does not hold.  The replacement
+        is atomic, so a crash leaves either journal, and the old one
+        holds only extra events recovery skips by sequence number.
         """
         if self._stream is None:
             raise ValueError("journal writer is closed")
         self._stream.close()
-        header_line = json.dumps(self.header, sort_keys=True,
-                                 separators=(",", ":"))
-        atomic_write_text(self.path, header_line + "\n")
-        self._stream = open(self.path, "a", encoding="utf-8")
+        try:
+            tail = b""
+            if self._mark is not None:
+                with open(self.path, "rb") as stream:
+                    stream.seek(self._mark)
+                    tail = stream.read()
+            header_line = json.dumps(self.header, sort_keys=True,
+                                     separators=(",", ":"))
+            atomic_write_bytes(self.path,
+                               header_line.encode("utf-8") + b"\n" + tail)
+            self._mark = None
+        finally:
+            self._stream = open(self.path, "a", encoding="utf-8")
 
     def close(self) -> None:
         if self._stream is not None:
@@ -169,10 +208,103 @@ def load_journal(
     return header, events
 
 
+def dump_snapshot(fd: int, payload: Dict) -> None:
+    """Pickle one snapshot into the open file *fd*, fsync and close it."""
+    with os.fdopen(fd, "wb") as stream:
+        pickle.dump(dict(payload, schema=SNAPSHOT_SCHEMA), stream,
+                    protocol=4)
+        stream.flush()
+        os.fsync(stream.fileno())
+
+
+class SnapshotWrite:
+    """One snapshot being written by a forked child.
+
+    The constructor creates the temp sibling and forks.  The child has
+    a copy-on-write image of *payload* as of the fork, so the caller
+    may go on mutating its state at once.  The child closes every
+    descriptor it inherited but the temp's (a child that outlives a
+    killed shard must not hold the shard's pipe open, or the server
+    would not see the death), disables the cyclic collector (its
+    passes would copy every page of the heap), drops to the lowest CPU
+    priority (under contention the shard's requests win the CPU),
+    pickles, fsyncs and leaves through ``os._exit``: no ``atexit``, no
+    flush, no return into the shard's loop.  The shard may not be
+    strictly single-threaded (numpy's OpenBLAS starts threads), so the
+    child touches no lock another thread may have held at the fork.
+
+    :meth:`poll` reaps the child; the caller then calls :meth:`commit`,
+    or, for a failed child, finds its temp already gone.  ``stall_s``
+    is a chaos hook: the child sleeps that long before it writes, so a
+    kill can land while it is in flight.
+    """
+
+    def __init__(self, path: Union[str, Path], payload: Dict,
+                 stall_s: float = 0.0):
+        self.path = Path(path)
+        fd, self.temp = temp_sibling(self.path)
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(fd)
+            os.unlink(self.temp)
+            raise
+        if pid == 0:
+            _write_in_child(fd, payload, stall_s)
+        os.close(fd)
+        self.pid = pid
+
+    def poll(self, block: bool) -> Optional[bool]:
+        """``None`` while the child runs (only when not *block*); else
+        whether it wrote the whole temp.  A failed child's temp is
+        unlinked here."""
+        try:
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+        except ChildProcessError:
+            pid, status = self.pid, -1  # reaped elsewhere: outcome unknown
+        if pid == 0:
+            return None
+        if status == 0:
+            return True
+        try:
+            os.unlink(self.temp)
+        except OSError:
+            pass
+        return False
+
+    def commit(self) -> None:
+        """Rename the landed temp onto the snapshot (directory fsynced)."""
+        commit_temp(self.temp, self.path)
+
+
+def _write_in_child(fd: int, payload: Dict, stall_s: float) -> None:
+    """The snapshot child's whole life; it never returns."""
+    code = 1
+    try:
+        os.closerange(3, fd)
+        os.closerange(fd + 1, _MAX_FD)
+        gc.disable()
+        os.nice(19)
+        if stall_s:
+            time.sleep(stall_s)
+        dump_snapshot(fd, payload)
+        code = 0
+    except BaseException:
+        # Straight to the descriptor: sys.stderr's lock may have been
+        # held by a thread that does not exist in this process.
+        os.write(2, f"snapshot writer: {traceback.format_exc()}".encode())
+        raise
+    finally:
+        os._exit(code)
+
+
 def write_snapshot(path: Union[str, Path], payload: Dict) -> None:
-    """Atomically persist one snapshot (pickle: predictors ride along)."""
-    payload = dict(payload, schema=SNAPSHOT_SCHEMA)
-    atomic_write_bytes(path, pickle.dumps(payload, protocol=4))
+    """Persist one snapshot and wait for it: a :class:`SnapshotWrite`
+    plus a blocking reap and the commit."""
+    write = SnapshotWrite(path, payload)
+    if not write.poll(block=True):
+        raise JournalError(f"{path}: snapshot writer failed")
+    write.commit()
 
 
 def read_snapshot(path: Union[str, Path]) -> Optional[Dict]:

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.common.atomic import discard_stale_temps
 from repro.common.errors import JournalError, ServeError
 from repro.common.workers import Worker
 from repro.configs import GENERATIONS
@@ -38,11 +39,11 @@ from repro.engine.specialize import kernels_for
 from repro.serve import protocol
 from repro.serve.journal import (
     JournalWriter,
+    SnapshotWrite,
     TenantPaths,
     journal_header,
     load_journal,
     read_snapshot,
-    write_snapshot,
 )
 from repro.stats import RunStats
 from repro.verification.differential import comparable_stats
@@ -110,6 +111,12 @@ class TenantState:
         self.needs_restart = True
         self.last_response: Optional[Dict] = None
         self.journal: Optional[JournalWriter] = None
+        #: The snapshot child in flight (at most one), and the outcomes
+        #: of those already reaped.
+        self._snapshot: Optional[SnapshotWrite] = None
+        self.snapshots = {"committed": 0, "failed": 0}
+        #: Chaos hook: the next snapshot child sleeps this long first.
+        self.snapshot_stall_s = 0.0
 
     # -- lifecycle -------------------------------------------------------
 
@@ -134,6 +141,10 @@ class TenantState:
         paths = TenantPaths(spool_dir, tenant)
         if not paths.exists():
             raise JournalError(f"{paths.directory}: nothing to recover")
+        # A writer killed before its rename strands a temp: a crashed
+        # shard's snapshot child, say.  If that child still runs, it
+        # writes on into the unlinked file and commits nothing.
+        discard_stale_temps(paths.directory)
         header, events = load_journal(paths.journal)
         state = cls(tenant, header["config"], header["backend"],
                     spool_dir, checkpoint_every)
@@ -182,7 +193,11 @@ class TenantState:
                         for row in event["branches"]]
             self._apply_batch(event["seq"], branches)
         elif kind == "evict":
-            self._apply_evict()
+            # Live evicts are journaled only when warm, so a cold state
+            # here is a snapshot taken after this evict, committed by a
+            # shard that died before the journal rotation.
+            if self.warm:
+                self._apply_evict()
         elif kind == "restore":
             self._apply_restore()
 
@@ -224,6 +239,7 @@ class TenantState:
         if not isinstance(seq, int) or seq < 0:
             return {"rejected": protocol.REJECT_BAD_SEQ,
                     "detail": f"sequence must be a non-negative int, got {seq!r}"}
+        self.settle_snapshot(block=False)
         if seq == self.next_seq - 1 and self.last_response is not None:
             # Idempotent retry of the batch we just answered (or
             # computed without managing to answer, pre-crash).
@@ -244,7 +260,7 @@ class TenantState:
         response = dict(self._apply_batch(seq, branches),
                         cached=False, restored=restored)
         if self.checkpoint_every and self.next_seq % self.checkpoint_every == 0:
-            self.checkpoint()
+            self.checkpoint(wait=False)
         return response
 
     def evict(self) -> bool:
@@ -256,20 +272,65 @@ class TenantState:
         self._apply_evict()
         return True
 
-    def checkpoint(self) -> None:
-        """Snapshot-then-rotate compaction (crash-safe in that order)."""
-        write_snapshot(self.paths.snapshot, {
-            "tenant": self.tenant,
-            "config": self.config,
-            "backend": self.backend,
-            "seq": self.next_seq,
-            "fingerprint": self.fingerprint,
-            "predictor": self.predictor,
-            "stats": self.stats,
-            "needs_restart": self.needs_restart,
-            "last_response": self.last_response,
-        })
+    def checkpoint(self, wait: bool = True) -> None:
+        """Snapshot the tenant, then compact its journal.
+
+        A forked child writes the snapshot (:class:`~repro.serve.
+        journal.SnapshotWrite`) and :meth:`settle_snapshot` commits it
+        once the child has exited.  A snapshot still in flight is
+        settled first, so at most one child runs and the journal never
+        grows past two snapshot periods.  With *wait* (close, drain,
+        the ``checkpoint`` op) this returns once the snapshot is
+        committed and raises if it failed.  Without it (the periodic
+        due point) it returns at once, and an I/O or fork failure is
+        only counted: the batch that reached the due point is journaled
+        and answered, and a failed snapshot costs a longer replay until
+        the next due point tries again.
+        """
+        try:
+            self.settle_snapshot(block=True)
+            stall, self.snapshot_stall_s = self.snapshot_stall_s, 0.0
+            self._snapshot = SnapshotWrite(self.paths.snapshot, {
+                "tenant": self.tenant,
+                "config": self.config,
+                "backend": self.backend,
+                "seq": self.next_seq,
+                "fingerprint": self.fingerprint,
+                "predictor": self.predictor,
+                "stats": self.stats,
+                "needs_restart": self.needs_restart,
+                "last_response": self.last_response,
+            }, stall_s=stall)
+        except OSError:  # the previous commit, the temp or the fork
+            if wait:
+                raise
+            self.snapshots["failed"] += 1
+            return
+        self.journal.mark()
+        if wait and not self.settle_snapshot(block=True):
+            raise JournalError(
+                f"{self.paths.snapshot}: snapshot writer failed")
+
+    def settle_snapshot(self, block: bool) -> Optional[bool]:
+        """Reap the snapshot child if it has exited (wait for it when
+        *block*).  A clean exit is committed: rename, directory fsync,
+        then the journal rotates down to the lines appended after the
+        fork.  A failed child leaves the journal whole.  Returns whether
+        a snapshot was committed, or ``None`` when none landed."""
+        pending = self._snapshot
+        if pending is None:
+            return None
+        landed = pending.poll(block)
+        if landed is None:
+            return None
+        self._snapshot = None
+        if not landed:
+            self.snapshots["failed"] += 1
+            return False
+        pending.commit()
         self.journal.rotate()
+        self.snapshots["committed"] += 1
+        return True
 
     def stats_payload(self) -> Dict:
         return {
@@ -277,6 +338,8 @@ class TenantState:
             "next_seq": self.next_seq,
             "fingerprint": self.fingerprint,
             "warm": self.warm,
+            "snapshots": dict(self.snapshots,
+                              in_flight=int(self._snapshot is not None)),
         }
 
     def close(self) -> None:
@@ -357,6 +420,8 @@ def shard_main(spool_dir: str, shard_index: int,
                     state.close()
                 reply = {"status": "ok", "closed": state is not None}
             elif op == "ping":
+                for state in tenants.values():
+                    state.settle_snapshot(block=False)
                 reply = {"status": "ok", "shard": shard_index,
                          "tenants": sorted(tenants),
                          "warm": sorted(n for n, s in tenants.items()
@@ -404,6 +469,13 @@ def _chaos_op(tenants: Dict[str, TenantState], payload: Dict) -> Dict:
                     "detail": "tenant not open for torn injection"}
         state.journal.tear_after_bytes = int(payload.get("bytes", 24))
         return {"status": "ok", "detail": "next journal append tears"}
+    if mode == "stall-snapshot":
+        state = tenants.get(payload.get("tenant"))
+        if state is None:
+            return {"status": "error", "code": "internal",
+                    "detail": "tenant not open for snapshot stall"}
+        state.snapshot_stall_s = float(payload.get("seconds", 2.0))
+        return {"status": "ok", "detail": "next snapshot child stalls"}
     return {"status": "error", "code": "protocol",
             "detail": f"unknown chaos mode {mode!r}"}
 

@@ -90,3 +90,19 @@ def test_atomic_write_preserves_other_directory_entries(tmp_path):
     assert (tmp_path / "a.txt").read_text() == "rewritten"
     assert (tmp_path / "b.txt").read_text() == "b.txt"
     assert len(os.listdir(tmp_path)) == 2
+
+
+def test_temp_sibling_then_commit_is_an_atomic_write(tmp_path):
+    from repro.common.atomic import TMP_MARKER, commit_temp, temp_sibling
+
+    target = tmp_path / "snapshot.pickle"
+    target.write_bytes(b"old")
+    fd, tmp_name = temp_sibling(target)
+    assert TMP_MARKER in os.path.basename(tmp_name)
+    with os.fdopen(fd, "wb") as stream:
+        stream.write(b"new")
+    # Until the commit, readers see only the old content.
+    assert target.read_bytes() == b"old"
+    assert commit_temp(tmp_name, target) == target
+    assert target.read_bytes() == b"new"
+    assert sorted(os.listdir(tmp_path)) == ["snapshot.pickle"]

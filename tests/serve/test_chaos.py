@@ -1,7 +1,7 @@
 """The chaos harness audits itself: scenarios must pass their checks.
 
 One scenario per fault class runs in the tier-1 suite (the full
-seven-scenario sweep is the ``serve-chaos`` CLI / CI job); each run
+eight-scenario sweep is the ``serve-chaos`` CLI / CI job); each run
 asserts the three invariant families — liveness, exactness,
 accounting — on a live server with real shard processes.
 """
@@ -35,6 +35,16 @@ def test_kill_scenario_restarts_and_stays_exact(tmp_path):
     assert report["metrics"]["restarts"] >= 1
     names = [check["name"] for check in report["checks"]]
     assert "stream-identical-to-uninterrupted" in names
+
+
+def test_kill_during_background_snapshot_stays_exact(tmp_path):
+    report = asyncio.run(run_scenario("snapshot-kill", 11, tmp_path,
+                                      tenants=2, branches=240, batch=40))
+    assert report["passed"], _failures(report)
+    assert report["injected"]["snapshot_kills"] == 1
+    names = [check["name"] for check in report["checks"]]
+    assert "stream-identical-to-uninterrupted" in names
+    assert "no-stranded-snapshot-temps" in names
 
 
 def test_flood_scenario_sheds_and_answers_everything(tmp_path):

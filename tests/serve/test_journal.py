@@ -127,3 +127,40 @@ def test_tenant_paths_layout(tmp_path):
     assert paths.directory == tmp_path / "tenants" / "tenant-7"
     assert paths.journal.parent == paths.directory
     assert paths.snapshot.parent == paths.directory
+
+
+def test_rotate_keeps_the_lines_appended_after_the_mark(tmp_path):
+    paths, writer = _writer(tmp_path)
+    for seq in range(3):
+        writer.append({"type": "batch", "seq": seq, "branches": []})
+    writer.mark()  # a snapshot of seq 0-2 is being written
+    writer.append({"type": "evict", "seq": 3})
+    writer.append({"type": "batch", "seq": 3, "branches": [[1, 2]]})
+    writer.rotate()
+    header, events = load_journal(paths.journal, strict=True)
+    assert header["tenant"] == "t0"
+    assert [(event["type"], event["seq"]) for event in events] == \
+        [("evict", 3), ("batch", 3)]
+    assert events[1]["branches"] == [[1, 2]]
+    # Appends go on after the tail; a rotation without a new mark
+    # compacts to the header alone.
+    writer.append({"type": "batch", "seq": 4, "branches": []})
+    writer.rotate()
+    writer.append({"type": "batch", "seq": 5, "branches": []})
+    writer.close()
+    _, events = load_journal(paths.journal, strict=True)
+    assert [event["seq"] for event in events] == [5]
+
+
+def test_snapshot_child_failure_raises_and_strands_nothing(tmp_path,
+                                                           monkeypatch):
+    from repro.serve import journal
+
+    def unpicklable(fd, payload):
+        raise TypeError("cannot pickle")
+
+    monkeypatch.setattr(journal, "dump_snapshot", unpicklable)
+    target = tmp_path / "snapshot.pickle"
+    with pytest.raises(JournalError, match="snapshot writer failed"):
+        write_snapshot(target, {"tenant": "t0", "seq": 1})
+    assert list(tmp_path.iterdir()) == []

@@ -162,3 +162,145 @@ def test_checkpoint_rotation_bounds_replay(tmp_path):
 def test_recover_unknown_tenant_raises(tmp_path):
     with pytest.raises(JournalError, match="nothing to recover"):
         TenantState.recover("ghost", tmp_path)
+
+
+# -- background snapshots ----------------------------------------------
+
+LONG_PLAN = TenantPlan("t0", workload="transactions", seed=5, branches=240,
+                       batch_size=30)
+
+
+def _temps(paths):
+    from repro.common.atomic import TMP_MARKER
+
+    return [path for path in paths.directory.iterdir()
+            if TMP_MARKER in path.name]
+
+
+def _batch_seqs(paths):
+    from repro.serve.journal import load_journal
+
+    _, events = load_journal(paths.journal)
+    return [event["seq"] for event in events if event["type"] == "batch"]
+
+
+def test_recover_discards_stranded_snapshot_temps(tmp_path):
+    from repro.common.atomic import TMP_MARKER
+
+    batches = PLAN.batches()
+    state = TenantState("t0", "z15", "object", tmp_path)
+    state.open_fresh()
+    for seq in range(2):
+        state.predict(seq, batches[seq])
+    state.close()
+    snapshot = state.paths.snapshot
+    intact = snapshot.read_bytes()
+    planted = snapshot.with_name(snapshot.name + TMP_MARKER + "dead")
+    planted.write_bytes(b"half a pickle")
+
+    recovered = TenantState.recover("t0", tmp_path)
+    assert not planted.exists()
+    assert snapshot.read_bytes() == intact
+    assert recovered.next_seq == 2
+    last = _serve_all(recovered, batches, start=2)
+    assert last["fingerprint"] == reference_fingerprint(PLAN)["fingerprint"]
+    recovered.close()
+
+
+def test_shard_dropped_mid_snapshot_keeps_the_previous_one(tmp_path):
+    """A shard that dies with a snapshot child in flight never commits
+    it: the child's finished temp is not the snapshot, and recovery
+    replays the previous snapshot plus the whole journal since."""
+    import os
+
+    from repro.serve.journal import read_snapshot
+
+    batches = LONG_PLAN.batches()
+    state = TenantState("t0", "z15", "object", tmp_path, checkpoint_every=3)
+    state.open_fresh()
+    for seq in range(6):
+        response = state.predict(seq, batches[seq])
+        assert "rejected" not in response
+    # The due point after batch 5 waited for the seq-3 snapshot,
+    # committed it, and forked the seq-6 writer, which is in flight.
+    child = state._snapshot
+    assert child is not None
+    assert state.snapshots == {"committed": 1, "failed": 0}
+    state.journal.close()  # the shard dies: nothing commits the child
+    _, status = os.waitpid(child.pid, 0)
+    assert status == 0  # the child itself finished its temp
+    assert read_snapshot(state.paths.snapshot)["seq"] == 3
+    assert _temps(state.paths)
+    assert _batch_seqs(state.paths) == [3, 4, 5]
+
+    recovered = TenantState.recover("t0", tmp_path, checkpoint_every=3)
+    assert not _temps(recovered.paths)
+    assert recovered.next_seq == 6
+    last = _serve_all(recovered, batches, start=6)
+    assert last["fingerprint"] == \
+        reference_fingerprint(LONG_PLAN)["fingerprint"]
+    recovered.close()
+
+
+def test_failed_snapshot_child_never_fails_the_batch(tmp_path, monkeypatch):
+    """A child that exits non-zero leaves the journal whole, loses its
+    temp, is counted, and the next due point snapshots again."""
+    from repro.serve import journal
+    from repro.serve.shard import shard_main
+
+    write = journal.dump_snapshot
+
+    def fail_at_seq_2(fd, payload):
+        if payload["seq"] == 2:
+            raise RuntimeError("injected pickle failure")
+        write(fd, payload)
+
+    monkeypatch.setattr(journal, "dump_snapshot", fail_at_seq_2)
+    paths = journal.TenantPaths(tmp_path, "t0")
+    handle = shard_main(str(tmp_path), 0, 2)
+    assert handle("open", {"tenant": "t0"})["status"] == "ok"
+    batches = LONG_PLAN.batches()
+    for seq in range(4):
+        reply = handle("predict", {"tenant": "t0", "seq": seq,
+                                   "branches": batches[seq]})
+        assert reply["status"] == "ok", reply
+    # Batch 3's due point reaped the failed seq-2 child and forked the
+    # seq-4 writer: the failed temp is gone, nothing was committed and
+    # the journal was not rotated.
+    assert len(_temps(paths)) == 1
+    assert not paths.snapshot.exists()
+    assert _batch_seqs(paths) == [0, 1, 2, 3]
+    assert handle("stats", {"tenant": "t0"})["snapshots"]["failed"] == 1
+    # The checkpoint op commits the due seq-4 snapshot, then its own.
+    assert handle("checkpoint", {})["status"] == "ok"
+    snapshots = handle("stats", {"tenant": "t0"})["snapshots"]
+    assert snapshots == {"committed": 2, "failed": 1, "in_flight": 0}
+    assert journal.read_snapshot(paths.snapshot)["seq"] == 4
+    assert not _temps(paths)
+    assert _batch_seqs(paths) == []
+    handle("shutdown", {})
+
+
+def test_evict_held_by_a_cold_snapshot_is_not_replayed(tmp_path):
+    """A shard that commits a snapshot taken after an evict and dies
+    before rotating leaves that evict in the journal at the snapshot's
+    own sequence number; recovery must not apply it twice."""
+    batches = PLAN.batches()
+    twin = TenantState("t0", "z15", "object", tmp_path / "twin")
+    state = TenantState("t0", "z15", "object", tmp_path / "live")
+    for tenant in (twin, state):
+        tenant.open_fresh()
+        for seq in range(2):
+            tenant.predict(seq, batches[seq])
+        assert tenant.evict()
+    unrotated = state.paths.journal.read_bytes()
+    state.checkpoint()  # snapshot at seq 2 holds the evict
+    state.journal.close()
+    state.paths.journal.write_bytes(unrotated)  # died before the rotation
+
+    recovered = TenantState.recover("t0", tmp_path / "live")
+    assert recovered.next_seq == 2 and not recovered.warm
+    assert _serve_all(recovered, batches, start=2) == \
+        _serve_all(twin, batches, start=2)
+    recovered.close()
+    twin.close()

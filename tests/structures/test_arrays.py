@@ -228,6 +228,30 @@ def test_lane_rows_are_built_on_first_write(generation):
         assert _built_rows(lanes.tags) <= _built_rows(table._data), name
 
 
+@pytest.mark.parametrize("structure", ["btb1", "btb2", "tage"])
+def test_predictor_audit_checks_the_tag_view(structure):
+    """The probes read the tag-array view, so every audit cross-checks
+    it: desyncing one built row's tag view alone is reported."""
+    # zEC12's BTB1 is small enough that a short footprint run spills
+    # into BTB2, so all three mirrors have built rows.
+    factory, _ = GENERATIONS["zEC12"]
+    predictor = create_predictor(factory(), "array")
+    FunctionalEngine(predictor).run_program(
+        get_workload("footprint-large", 1), max_branches=3000,
+        warmup_branches=0, seed=1,
+    )
+    assert predictor.audit() == []
+    lanes = {"btb1": predictor.btb1._lanes, "btb2": predictor.btb2._lanes,
+             "tage": predictor.tage.short_table._lanes}[structure]
+    row, tags = next((row, tags) for row, tags in enumerate(lanes.tags)
+                     if tags is not None and max(tags) >= 0)
+    way = next(way for way, tag in enumerate(tags) if tag >= 0)
+    tags[way] ^= 1  # the packed view and the entries are untouched
+    violations = predictor.audit()
+    assert len(violations) == 1
+    assert f"lanes[row={row},way={way}] packed tag" in violations[0]
+
+
 # ======================================================================
 # ArrayBtb1 vs Btb1
 # ======================================================================
