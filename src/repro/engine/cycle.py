@@ -16,16 +16,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
+from repro.common.slots import add_slots
 from repro.configs.timing import TimingConfig
 from repro.core.predictor import LookaheadBranchPredictor, PredictionOutcome
 from repro.engine.kernel import _chain_observers, predict_one
 from repro.engine.specialize import effective_engine_mode, kernels_for
-from repro.frontend.icache import InstructionCacheHierarchy
+from repro.frontend.icache import (
+    InstructionCacheHierarchy,
+    z15_hierarchy_configs,
+)
 from repro.stats.metrics import MispredictClass, RunStats, classify
 from repro.workloads.executor import Executor
 from repro.workloads.program import Program
+
+_NONE = MispredictClass.NONE
+_GUESSED_TAKEN_RELATIVE = MispredictClass.SURPRISE_GUESSED_TAKEN_RELATIVE
+_GUESSED_TAKEN_INDIRECT = MispredictClass.SURPRISE_GUESSED_TAKEN_INDIRECT
 
 
 @dataclass
@@ -84,6 +93,7 @@ class CycleStats:
         return "\n".join(lines)
 
 
+@add_slots
 @dataclass
 class _Clocks:
     """Per-thread front-end clocks."""
@@ -111,10 +121,15 @@ class CycleEngine:
         spans=None,
     ):
         self.predictor = predictor
-        self.icache = icache if icache is not None else InstructionCacheHierarchy()
         self.timing = (timing if timing is not None else TimingConfig()).validate()
+        self.icache = (
+            icache if icache is not None
+            else InstructionCacheHierarchy(
+                z15_hierarchy_configs(timing=self.timing))
+        )
         self.smt2 = smt2
         self.lookahead_prefetch = lookahead_prefetch
+        self._bind_timing()
         #: Optional callable receiving every PredictionOutcome in
         #: prediction order (differential cross-engine checking); an
         #: optional telemetry session and fault injector ride the same
@@ -143,23 +158,34 @@ class CycleEngine:
     # Derived rates
     # ------------------------------------------------------------------
 
-    @property
-    def _search_interval(self) -> int:
-        """Cycles per sequential 64B search (SMT2 shares the one port)."""
-        return 2 if self.smt2 else 1
+    def _bind_timing(self) -> None:
+        """Bind every rate and cost the per-branch timing reads.
 
-    @property
-    def _taken_interval(self) -> int:
-        return (
-            self.timing.taken_interval_smt2
-            if self.smt2
-            else self.timing.taken_interval_st
+        Like the predictor's gate flags (INTERNALS §9), these are read
+        once: changing ``smt2``, ``timing`` or ``lookahead_prefetch`` on
+        a live engine has no effect.
+        """
+        timing = self.timing
+        smt2 = self.smt2
+        #: Cycles per sequential search (SMT2 shares the one port).
+        self._search_interval = 2 if smt2 else 1
+        self._taken_interval = (
+            timing.taken_interval_smt2 if smt2 else timing.taken_interval_st
         )
-
-    @property
-    def _fetch_bytes_per_cycle(self) -> float:
-        rate = self.timing.fetch_bytes_per_cycle
-        return rate / 2 if self.smt2 else rate
+        self._cpred_interval = timing.taken_interval_cpred
+        rate = timing.fetch_bytes_per_cycle
+        self._fetch_bytes_per_cycle = rate / 2 if smt2 else rate
+        self._search_bytes = timing.search_bytes_per_cycle
+        #: A prediction searched at b0 delivers at the pipe's last stage.
+        self._delivery_lag = timing.bpl_pipeline_depth - 1
+        self._dispatch_width = timing.dispatch_width
+        self._decode_penalty = timing.decode_restart_penalty
+        self._indirect_penalty = (timing.decode_restart_penalty
+                                  + timing.indirect_resolution_delay)
+        self._statistical_penalty = timing.statistical_restart_penalty
+        self._l1i_latency = timing.l1i_latency
+        self._line_size = self.icache.line_size
+        self._prefetch = self.lookahead_prefetch
 
     # ------------------------------------------------------------------
     # Main loop
@@ -176,17 +202,20 @@ class CycleEngine:
         predict = self._predict_callable()
         observer = self.observer
         record = self.stats.accuracy.record
+        advance = self._advance
         spans = self.spans
         if spans:
             phase_start = time.perf_counter()
-        while executor.branches_executed < max_branches:
-            branch = executor.step()
-            if branch is None:
-                continue
-            gap = executor.instructions_executed - instructions_before - 1
-            instructions_before = executor.instructions_executed
-            outcome = predict_one(predict, branch, observer, record)
-            self._advance(clocks, branch, outcome, gap)
+        # predict_one's order, inlined: predict, observer, record.
+        for branch in executor.run(max_branches=max_branches):
+            executed = executor.instructions_executed
+            gap = executed - instructions_before - 1
+            instructions_before = executed
+            outcome = predict(branch)
+            if observer is not None:
+                observer(outcome)
+            record(outcome)
+            advance(clocks, branch, outcome, gap)
         if spans:
             spans.observe("engine.counted",
                           time.perf_counter() - phase_start,
@@ -247,13 +276,7 @@ class CycleEngine:
         """The per-branch predict entry point for the selected mode."""
         if self._kernels is None:
             return self.predictor.predict_and_resolve
-        kernel = self._kernels.predict_flat
-        predictor = self.predictor
-
-        def predict(branch, _kernel=kernel, _predictor=predictor):
-            return _kernel(_predictor, branch)
-
-        return predict
+        return partial(self._kernels.predict_flat, self.predictor)
 
     def _clocks_for(self, thread: int) -> _Clocks:
         clocks = self._clocks.get(thread)
@@ -270,72 +293,69 @@ class CycleEngine:
                  gap: int) -> None:
         """Advance one thread's clocks across one branch (plus its
         leading non-branch instructions)."""
-        timing = self.timing
         trace = outcome.trace
         record = outcome.record
+        stats = self.stats
 
         # --- BPL side: when was this branch's prediction delivered? ---
-        searches = max(1, trace.lines_searched)
-        b0_time = clocks.bpl_ready + (searches - 1) * self._search_interval
-        delivered = b0_time + (timing.bpl_pipeline_depth - 1)
+        b0_time = clocks.bpl_ready
+        if trace.lines_searched > 1:
+            b0_time += (trace.lines_searched - 1) * self._search_interval
+        delivered = b0_time + self._delivery_lag
         if record.dynamic and record.predicted_taken:
-            self.stats.taken_redirects += 1
+            stats.taken_redirects += 1
             if trace.cpred_accelerated:
-                interval = timing.taken_interval_cpred
-                self.stats.cpred_redirects += 1
+                stats.cpred_redirects += 1
+                clocks.bpl_ready = b0_time + self._cpred_interval
             else:
-                interval = self._taken_interval
-            clocks.bpl_ready = b0_time + interval
+                clocks.bpl_ready = b0_time + self._taken_interval
         else:
             clocks.bpl_ready = b0_time + self._search_interval
 
         # --- Fetch side: deliver bytes up to the end of the branch. ---
-        fetch_end = branch.instruction.end_address
-        self._fetch_lines(clocks, clocks.fetch_point, fetch_end, b0_time)
-        if fetch_end > clocks.fetch_point:
+        fetch_end = branch.next_sequential
+        fetch_point = clocks.fetch_point
+        if fetch_end > fetch_point:
+            self._fetch_lines(clocks, fetch_point, fetch_end, b0_time)
             clocks.fetch_clock += (
-                fetch_end - clocks.fetch_point
-            ) / self._fetch_bytes_per_cycle
+                (fetch_end - fetch_point) / self._fetch_bytes_per_cycle
+            )
         clocks.fetch_point = fetch_end
 
         # --- Dispatch: strict synchronisation with prediction. ---
-        base = clocks.now + gap / timing.dispatch_width
-        dispatch_time = max(base, delivered, clocks.fetch_clock)
-        if delivered > max(base, clocks.fetch_clock):
-            self.stats.bpl_wait_cycles += int(
-                delivered - max(base, clocks.fetch_clock)
-            )
-        elif clocks.fetch_clock > base:
-            self.stats.fetch_wait_cycles += int(clocks.fetch_clock - base)
-        clocks.now = dispatch_time
+        base = clocks.now + gap / self._dispatch_width
+        fetch_clock = clocks.fetch_clock
+        ready = max(base, fetch_clock)
+        if delivered > ready:
+            stats.bpl_wait_cycles += int(delivered - ready)
+            clocks.now = delivered
+        else:
+            if fetch_clock > base:
+                stats.fetch_wait_cycles += int(fetch_clock - base)
+            clocks.now = ready
 
         # --- Bad predictions found during the walk. ---
         if trace.bad_taken_restarts:
-            penalty = trace.bad_taken_restarts * timing.decode_restart_penalty
+            penalty = trace.bad_taken_restarts * self._decode_penalty
             self._apply_restart(clocks, penalty, resync_to=None)
 
         # --- Resolution ---
         klass = classify(outcome)
-        if klass is MispredictClass.NONE:
+        if klass is _NONE:
             if branch.taken:
                 # Correct taken prediction: fetch redirects to the target;
                 # the redirect is free when the BPL ran ahead.
-                clocks.fetch_clock = max(clocks.fetch_clock, delivered)
+                if delivered > clocks.fetch_clock:
+                    clocks.fetch_clock = delivered
                 clocks.fetch_point = branch.target
             return
-        if klass is MispredictClass.SURPRISE_GUESSED_TAKEN_RELATIVE:
-            self._apply_restart(clocks, timing.decode_restart_penalty,
-                                branch.next_address)
-        elif klass is MispredictClass.SURPRISE_GUESSED_TAKEN_INDIRECT:
-            self._apply_restart(
-                clocks,
-                timing.decode_restart_penalty + timing.indirect_resolution_delay,
-                branch.next_address,
-            )
+        if klass is _GUESSED_TAKEN_RELATIVE:
+            penalty = self._decode_penalty
+        elif klass is _GUESSED_TAKEN_INDIRECT:
+            penalty = self._indirect_penalty
         else:
-            self._apply_restart(
-                clocks, timing.statistical_restart_penalty, branch.next_address
-            )
+            penalty = self._statistical_penalty
+        self._apply_restart(clocks, penalty, branch.next_address)
 
     def _fetch_lines(self, clocks: _Clocks, start: int, end: int,
                      bpl_b0_time: float) -> None:
@@ -343,41 +363,42 @@ class CycleEngine:
 
         The BPL searched these lines earlier (64B/cycle versus fetch's
         32B/cycle) and prefetched them; the exposed latency is whatever
-        the accumulated lead could not cover.
+        the accumulated lead could not cover.  L1 hits pipeline at full
+        fetch bandwidth: only latency beyond the L1 hit can stall.
         """
         if end <= start:
             return
-        line_size = self.icache.line_size
+        access = self.icache.access
+        stats = self.stats
+        l1i_latency = self._l1i_latency
+        line_size = self._line_size
         line = (start // line_size) * line_size
+        if not self._prefetch:
+            while line < end:
+                extra = access(line).latency - l1i_latency
+                if extra > 0:
+                    stats.exposed_miss_cycles += extra
+                    clocks.fetch_clock += extra
+                line += line_size
+            return
         while line < end:
-            if self.lookahead_prefetch:
-                # The BPL search of this line preceded the branch's b0 by
-                # one search interval per 64 bytes of remaining stream.
-                lines_ahead = max(0, (end - line) // 64)
+            effective = access(line).latency - l1i_latency
+            if effective > 0:
+                # The BPL search of this line preceded the branch's b0
+                # by one search interval per search block of remaining
+                # stream; the lead it built hides what it covered.
+                lines_ahead = (end - line) // self._search_bytes
                 bpl_time = bpl_b0_time - lines_ahead * self._search_interval
-                result = self.icache.access(line)
+                fetch_clock = clocks.fetch_clock
                 arrival = max(
-                    clocks.fetch_clock,
-                    (line - start) / self._fetch_bytes_per_cycle
-                    + clocks.fetch_clock,
+                    fetch_clock,
+                    (line - start) / self._fetch_bytes_per_cycle + fetch_clock,
                 )
                 lead = arrival - bpl_time
-                # L1 hits pipeline at full fetch bandwidth; only latency
-                # beyond the L1 hit can stall, and the BPL's lead hides
-                # whatever it covered.
-                effective = max(0, result.latency - self.timing.l1i_latency)
                 exposed = max(0.0, effective - max(0.0, lead))
-                hidden = effective - exposed
-                if effective > 0:
-                    self.stats.exposed_miss_cycles += int(exposed)
-                    self.stats.hidden_miss_cycles += int(hidden)
-                clocks.fetch_clock += exposed
-            else:
-                result = self.icache.access(line)
-                if result.latency > self.timing.l1i_latency:
-                    extra = result.latency - self.timing.l1i_latency
-                    self.stats.exposed_miss_cycles += extra
-                    clocks.fetch_clock += extra
+                stats.exposed_miss_cycles += int(exposed)
+                stats.hidden_miss_cycles += int(effective - exposed)
+                clocks.fetch_clock = fetch_clock + exposed
             line += line_size
 
     def _apply_restart(self, clocks: _Clocks, penalty: float,

@@ -10,12 +10,10 @@ lookahead branch predictor can act as "an effective cache prefetcher"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.common.bits import mask
 from repro.common.errors import ConfigError
-from repro.structures.assoc import SetAssociativeTable
 
 
 @dataclass
@@ -44,7 +42,17 @@ class CacheLevelConfig:
 
 
 class CacheLevel:
-    """One tag-only cache level."""
+    """One tag-only cache level with exact LRU replacement.
+
+    Each set is a list of the line tags it holds, least recently used
+    first: a hit moves its tag to the end, a fill into a full set drops
+    the first.  That is true LRU with the hits, misses and fills of a
+    ``SetAssociativeTable(policy="lru")`` row (no level ever invalidates
+    a line, so a set's empty ways are always the ones it has not filled
+    yet), without a way array, a policy object or a match callback per
+    probe.  A set's list is built on its first fill: the z15's L3
+    backstop has 65,536 sets, and a short run touches few of them.
+    """
 
     def __init__(self, config: CacheLevelConfig):
         config.validate()
@@ -53,44 +61,49 @@ class CacheLevel:
         if sets & (sets - 1):
             raise ConfigError(f"{config.name}: set count {sets} not a power of two")
         self._set_bits = sets.bit_length() - 1
-        self._table: SetAssociativeTable[int] = SetAssociativeTable(
-            rows=sets, ways=config.associativity, policy="lru"
-        )
+        self._set_mask = sets - 1
+        self._line_size = config.line_size
+        self._ways = config.associativity
+        self._sets: List[Optional[List[int]]] = [None] * sets
         self.accesses = 0
         self.hits = 0
         self.fills = 0
 
-    def _set_of(self, address: int) -> int:
-        return (address // self.config.line_size) & mask(self._set_bits)
-
-    def _tag_of(self, address: int) -> int:
-        return (address // self.config.line_size) >> self._set_bits
-
     def probe(self, address: int) -> bool:
         """Hit/miss without statistics (used by prefetch filtering)."""
-        row = self._set_of(address)
-        tag = self._tag_of(address)
-        return self._table.find(row, lambda t: t == tag) is not None
+        line = address // self._line_size
+        tags = self._sets[line & self._set_mask]
+        return tags is not None and line >> self._set_bits in tags
 
     def access(self, address: int) -> bool:
         """Demand access: returns hit, touching LRU."""
         self.accesses += 1
-        row = self._set_of(address)
-        tag = self._tag_of(address)
-        found = self._table.find(row, lambda t: t == tag)
-        if found is not None:
-            self.hits += 1
-            self._table.touch(row, found[0])
-            return True
-        return False
+        line = address // self._line_size
+        tags = self._sets[line & self._set_mask]
+        if tags is None:
+            return False
+        tag = line >> self._set_bits
+        if tag not in tags:
+            return False
+        self.hits += 1
+        if tags[-1] != tag:
+            tags.remove(tag)
+            tags.append(tag)
+        return True
 
     def fill(self, address: int) -> None:
         """Bring the line in (demand fill or prefetch)."""
-        row = self._set_of(address)
-        tag = self._tag_of(address)
-        if self._table.find(row, lambda t: t == tag) is not None:
+        line = address // self._line_size
+        index = line & self._set_mask
+        tag = line >> self._set_bits
+        tags = self._sets[index]
+        if tags is None:
+            tags = self._sets[index] = []
+        elif tag in tags:
             return
-        self._table.install(row, tag)
+        elif len(tags) == self._ways:
+            del tags[0]
+        tags.append(tag)
         self.fills += 1
 
     @property
@@ -114,16 +127,24 @@ def z15_hierarchy_configs(
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one hierarchy access."""
+    """Outcome of one hierarchy access.
+
+    Frozen: a hierarchy builds one per level (and one for memory) and
+    returns the same object on every access that ends there.
+    """
 
     latency: int
     level: str
 
 
 class InstructionCacheHierarchy:
-    """An inclusive multi-level I-side hierarchy with a prefetch port."""
+    """An inclusive multi-level I-side hierarchy with a prefetch port.
+
+    Level latencies and ``memory_latency`` are bound into the shared
+    :class:`AccessResult` objects at construction.
+    """
 
     def __init__(
         self,
@@ -135,6 +156,17 @@ class InstructionCacheHierarchy:
             raise ConfigError("at least one cache level is required")
         self.levels = [CacheLevel(config) for config in configs]
         self.memory_latency = memory_latency
+        #: Per level, in walk order: (level, its result, the levels
+        #: above it that a hit there fills).
+        self._walk = tuple(
+            (level,
+             AccessResult(latency=level.config.latency,
+                          level=level.config.name),
+             tuple(self.levels[:depth]))
+            for depth, level in enumerate(self.levels)
+        )
+        self._memory_result = AccessResult(latency=memory_latency,
+                                           level="memory")
         self.demand_accesses = 0
         self.prefetches = 0
         self.useless_prefetch_filter = 0
@@ -147,14 +179,14 @@ class InstructionCacheHierarchy:
         """Demand access: the first hitting level's latency; all upper
         levels are filled (inclusive)."""
         self.demand_accesses += 1
-        for depth, level in enumerate(self.levels):
+        for level, result, uppers in self._walk:
             if level.access(address):
-                for upper in self.levels[:depth]:
+                for upper in uppers:
                     upper.fill(address)
-                return AccessResult(latency=level.config.latency, level=level.config.name)
+                return result
         for level in self.levels:
             level.fill(address)
-        return AccessResult(latency=self.memory_latency, level="memory")
+        return self._memory_result
 
     def prefetch(self, address: int) -> Optional[AccessResult]:
         """Prefetch a line toward the L1I.
@@ -166,16 +198,14 @@ class InstructionCacheHierarchy:
             self.useless_prefetch_filter += 1
             return None
         self.prefetches += 1
-        for depth, level in enumerate(self.levels[1:], start=1):
+        for level, result, uppers in self._walk[1:]:
             if level.probe(address):
-                for upper in self.levels[:depth]:
+                for upper in uppers:
                     upper.fill(address)
-                return AccessResult(
-                    latency=level.config.latency, level=level.config.name
-                )
+                return result
         for level in self.levels:
             level.fill(address)
-        return AccessResult(latency=self.memory_latency, level="memory")
+        return self._memory_result
 
     def level_stats(self) -> List[Tuple[str, int, int]]:
         """Per level: (name, accesses, hits)."""

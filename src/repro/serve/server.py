@@ -167,6 +167,10 @@ class PredictorServer:
         self.port = port
         self.metrics = ServerMetrics()
         self.sessions: Dict[str, TenantSession] = {}
+        #: tenant -> [shard, opens in flight]: the shard reserved for a
+        #: tenant while its ``open`` awaits the shard's reply (placement
+        #: counts it as load).
+        self._opening: Dict[str, List[int]] = {}
         self.shards: List[ShardHandle] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._supervisor: Optional[asyncio.Task] = None
@@ -315,10 +319,14 @@ class PredictorServer:
     # -- placement + LRU -------------------------------------------------
 
     def _place(self) -> int:
+        """The least-loaded shard, counting open sessions and the opens
+        still awaiting their shard's reply (concurrent opens spread)."""
         loads = [0] * len(self.shards)
         for session in self.sessions.values():
             if session.open:
                 loads[session.shard_index] += 1
+        for shard_index, _in_flight in self._opening.values():
+            loads[shard_index] += 1
         return loads.index(min(loads))
 
     def _touch(self, session: TenantSession) -> None:
@@ -445,10 +453,16 @@ class PredictorServer:
         if session is not None and session.open:
             return protocol.ok(request_id, existing=True,
                                shard=session.shard_index)
-        shard_index = self._place()
+        # An open of a tenant whose earlier open is still in flight goes
+        # to the same shard: one tenant's journal has one writer.
+        pending = self._opening.get(tenant)
+        shard_index = self._place() if pending is None else pending[0]
         if shard_index in self._restarting:
             return protocol.retry(request_id, protocol.RETRY_SHARD_RESTART,
                                   f"shard {shard_index} restarting")
+        if pending is None:
+            pending = self._opening[tenant] = [shard_index, 0]
+        pending[1] += 1
         try:
             reply = await self.shards[shard_index].request(
                 "open",
@@ -462,8 +476,20 @@ class PredictorServer:
             # the client's resend lands after the supervisor's restart.
             return protocol.retry(request_id, protocol.RETRY_SHARD_RESTART,
                                   f"shard {shard_index} unavailable")
+        finally:
+            # Released on every outcome; on success the session
+            # registered below takes the load over with no await between.
+            pending[1] -= 1
+            if not pending[1]:
+                del self._opening[tenant]
         if reply.get("status") != "ok":
             return dict(reply, id=request_id)
+        session = self.sessions.get(tenant)
+        if session is not None and session.open:
+            # An open of this tenant that was in flight with ours
+            # registered it while we awaited (on the same shard).
+            return protocol.ok(request_id, existing=True,
+                               shard=session.shard_index)
         session = TenantSession(tenant, message.get("config", "z15"),
                                 message.get("backend", "object"),
                                 shard_index)

@@ -108,3 +108,35 @@ class TestRates:
         assert smt._taken_interval == 6
         assert st._fetch_bytes_per_cycle == 32
         assert smt._fetch_bytes_per_cycle == 16
+
+
+class TestTimingBinding:
+    def test_default_icache_follows_the_timing(self):
+        engine = CycleEngine(LookaheadBranchPredictor(z15_config()),
+                             timing=TimingConfig(l2i_extra_latency=20),
+                             lookahead_prefetch=False)
+        l1i = engine.icache.levels[0].config
+        # One line more than the L1I's ways, all in one L1I set but in
+        # distinct L2I sets: the first one now hits only in the L2I.
+        stride = l1i.sets * l1i.line_size
+        for way in range(l1i.associativity + 1):
+            engine.icache.access(0x100000 + way * stride)
+        l2i = engine.icache.levels[1]
+        hits_before = l2i.hits
+        engine._fetch_lines(engine._clocks_for(0), 0x100000, 0x100004,
+                            bpl_b0_time=0.0)
+        assert l2i.hits == hits_before + 1
+        assert engine.stats.exposed_miss_cycles == 20
+
+    @pytest.mark.parametrize("search_bytes,hidden", [(64, 2), (128, 1)])
+    def test_lookahead_counts_the_timing_search_blocks(self, search_bytes,
+                                                       hidden):
+        engine = make_engine(
+            timing=TimingConfig(search_bytes_per_cycle=search_bytes))
+        # One cold 128B line fetched to its end: the BPL searched it
+        # 128 // search_bytes intervals before b0, and that lead hides
+        # as many of the 96 cycles its miss costs beyond an L1 hit.
+        engine._fetch_lines(engine._clocks_for(0), 0x1000, 0x1080,
+                            bpl_b0_time=0.0)
+        assert engine.stats.hidden_miss_cycles == hidden
+        assert engine.stats.exposed_miss_cycles == 96 - hidden

@@ -132,6 +132,33 @@ def test_shard_kill_recovers_from_journal_exactly(tmp_path):
     assert fingerprint == reference_fingerprint(plan)["fingerprint"]
 
 
+def test_concurrent_opens_spread_over_the_shards(tmp_path):
+    """Tenants that open together take distinct shards: placement counts
+    the opens still awaiting their shard's reply, a repeated open joins
+    its tenant's shard, and a failed open gives its reservation back."""
+
+    async def body(server, client):
+        replies = await asyncio.gather(
+            client.open("t0"), client.open("t1"), client.open("t2"),
+            client.open("t0"), client.open("bad", config="no-such-config"),
+        )
+        placed = {tenant: session.shard_index
+                  for tenant, session in server.sessions.items()}
+        return replies, placed, server
+
+    replies, placed, server = _run(
+        _with_server(tmp_path, _options(shards=3), body))
+    assert [reply["status"] for reply in replies[:4]] == ["ok"] * 4
+    assert replies[4]["status"] == "rejected"
+    assert sorted(placed) == ["t0", "t1", "t2"]
+    assert sorted(placed.values()) == [0, 1, 2]
+    assert replies[3]["shard"] == replies[0]["shard"] == placed["t0"]
+    assert [reply["existing"] for reply in replies[:4]] == [
+        False, False, False, True]
+    assert server.metrics.opened == 3
+    assert server._opening == {}
+
+
 def test_queue_depth_backpressure_rejects_then_drains(tmp_path):
     plan = TenantPlan("t0", workload="correlated", seed=6, branches=240,
                       batch_size=20, burst=12)
