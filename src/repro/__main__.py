@@ -2,20 +2,23 @@
 
 Commands:
 
-* ``run`` — run a predictor over a standard workload and print the
-  accuracy report (optionally the per-branch mispredict profile).
-* ``compare`` — compare the generation presets (or baselines) over a
-  workload.
-* ``cycles`` — run the cycle-level engine and print the timing report.
+* ``run`` — run one predictor over one workload on the functional
+  engine (accuracy report; ``--hot-branches`` adds the per-branch
+  mispredict profile) or, with ``--engine cycle``, the cycle-level
+  engine (timing report).  ``--telemetry`` attaches a telemetry
+  session; ``--trace-out`` streams a schema-versioned JSONL branch
+  trace, which ``--validate`` re-loads, schema-checks and reconciles
+  against the run's stats.
 * ``verify`` — run the white-box verification environment.
 * ``verify-diff`` — run the differential verification suite (cross-
   engine equivalence, deterministic replay, baseline cross-validation).
 * ``sweep`` — fan a (config × workload × seed) grid over warm worker
   processes (serialize-once payload transfer, ``--chunk-size`` cell
-  chunking) in one pass.  Failing cells surface as structured error rows
-  instead of aborting the sweep.  ``--stream-out`` checkpoints results
-  to JSONL as they complete; ``--resume`` restarts a killed sweep from
-  such a stream.
+  chunking) in one pass; ``--workloads W`` with several ``--configs``
+  compares the generation presets on one workload.  Failing cells
+  surface as structured error rows instead of aborting the sweep.
+  ``--stream-out`` checkpoints results to JSONL as they complete;
+  ``--resume`` restarts a killed sweep from such a stream.
 * ``fleet`` — run a full design-space fleet grid (configs × workloads ×
   seeds × fault plans × backends, ~1000 cells) sequentially and over
   the warm pool, and emit the merged ``repro-fleet/v1`` payload
@@ -25,14 +28,10 @@ Commands:
 * ``faults`` — run a deterministic fault-injection campaign and prove
   the committed branch stream is identical to the fault-free run (the
   predictor is a hint engine: faults may only cost accuracy).
-* ``trace`` — run one predictor/workload with a telemetry session
-  attached and stream a schema-versioned JSONL branch trace; with
-  ``--validate`` the written trace is re-loaded, schema-checked and
-  reconciled against the run's stats.
-* ``export`` — render a telemetry artifact (trace ``--json`` payload,
-  sweep telemetry dump or checkpoint stream) as OpenMetrics text or
-  canonical JSON, with per-(backend, engine-mode, workload) rollups
-  for multi-cell inputs.
+* ``export`` — render a telemetry artifact (``run --telemetry
+  --stats-json`` payload, sweep telemetry dump or checkpoint stream) as
+  OpenMetrics text or canonical JSON, with per-(backend, engine-mode,
+  workload) rollups for multi-cell inputs.
 * ``report`` — the observatory: classify fleet payloads, sweep
   streams, manifests, span files and bench history, and render one
   markdown dashboard with trend deltas and regression highlights.
@@ -50,15 +49,19 @@ Commands:
   exactness / accounting audits.
 * ``workloads`` — list the standard workloads.
 
-``sweep --resume``, ``fleet --resume``, ``trace --validate``,
-``export`` and ``report`` accept ``--strict``: a torn JSONL tail (the
-signature of a killed writer) becomes a located error instead of being
-silently dropped.
+Every run, sweep, fleet and fault campaign drives the compiled fast
+kernels (:mod:`repro.engine.specialize`); ``verify-diff
+--engine-modes`` is the one switch between the modes, and checks the
+kernels against the reference pipeline they are derived from.
 
-``run``/``sweep``/``fleet`` accept ``--metrics-out`` (OpenMetrics
-export, implies telemetry) and ``--spans-out`` (phase span tracing);
-``fleet --history`` appends a bench-history row the ``report``
-dashboard turns into trend deltas.
+``sweep --resume``, ``fleet --resume``, ``export`` and ``report``
+accept ``--strict``: a torn JSONL tail (the signature of a killed
+writer) becomes a located error instead of being silently dropped.
+
+``run``/``sweep``/``fleet`` share ``--telemetry``, ``--metrics-out``
+(OpenMetrics export, implies telemetry) and ``--spans-out`` (phase
+span tracing); ``fleet --history`` appends a bench-history row the
+``report`` dashboard turns into trend deltas.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ import os
 import pstats
 import sys
 import time
+from functools import partial
 
 from repro.baselines import (
     AlwaysTakenPredictor,
@@ -95,6 +99,7 @@ from repro.engine import (
     make_grid,
     run_checkpointed,
     run_fleet,
+    stats_to_dict,
 )
 from repro.obs import TelemetrySession
 from repro.stats import MispredictProfile, load_trace
@@ -129,20 +134,6 @@ def _predictor_for(name: str, backend: str = "object"):
     raise SystemExit(f"unknown predictor {name!r}; known: {known}")
 
 
-def _stats_payload(stats) -> dict:
-    """Machine-readable run stats: the engine-independent invariant
-    slice plus the derived headline metrics."""
-    from repro.verification.differential import comparable_stats
-
-    payload = comparable_stats(stats)
-    payload["instructions_approximate"] = stats.instructions_approximate
-    payload["dynamic_coverage"] = stats.dynamic_coverage
-    payload["direction_accuracy"] = stats.direction_accuracy
-    payload["branch_mpki"] = stats.branch_mpki
-    payload["mpki"] = stats.mpki
-    return payload
-
-
 def _write_json(path: str, payload) -> None:
     # Atomic (write-fsync-rename): a kill mid-report leaves the old
     # artifact, never a torn JSON that downstream tooling chokes on.
@@ -166,7 +157,7 @@ def _write_metrics(path: str, source) -> None:
 def _span_tracer(args, kind: str):
     """(SpanWriter, SpanTracer) when ``--spans-out`` is set, else
     (None, None) — the engines and pool treat a None tracer as off."""
-    if not getattr(args, "spans_out", None):
+    if not args.spans_out:
         return None, None
     from repro.obs.spans import SpanTracer, SpanWriter
 
@@ -201,25 +192,51 @@ def _profiled(args, work):
                 .strip_dirs().sort_stats(sort).print_stats(top)
 
 
-def _make_session(args, predictor) -> TelemetrySession:
-    """Build a telemetry session matching the run's warmup, so telemetry
-    aggregates exactly the counted phase (like RunStats)."""
-    return TelemetrySession(
-        predictor=predictor
-        if isinstance(predictor, LookaheadBranchPredictor) else None,
-        interval=args.interval,
-        trace_path=args.trace_out,
-        trace_every=getattr(args, "every", 1),
-        skip=args.warmup,
-    ).begin(
-        workload=args.workload,
-        predictor=args.predictor,
-        seed=args.seed,
-        branches=args.branches,
-    )
+def _check_run_flags(args: argparse.Namespace) -> None:
+    """Exit with a one-line message on a flag the run would ignore."""
+    if args.engine == "cycle":
+        if args.warmup:
+            raise SystemExit("--warmup: the cycle engine has no warmup "
+                             "phase")
+        if args.predictor in BASELINES:
+            raise SystemExit("the cycle engine requires a generation preset")
+    elif args.smt2 or args.no_prefetch:
+        flag = "--smt2" if args.smt2 else "--no-prefetch"
+        raise SystemExit(f"{flag} requires --engine cycle")
+    if not args.trace_out and (args.validate or args.every != 1):
+        flag = "--validate" if args.validate else "--every"
+        raise SystemExit(f"{flag} requires --trace-out")
+
+
+def _validate_trace(path: str, stats) -> None:
+    """Re-load the trace at *path*, schema-check every line and reconcile
+    it against the run's RunStats; exit 1 on a mismatch."""
+    from repro.obs.trace import reconcile_with_stats
+
+    # The writer closed the file with an fsync, so a torn tail here is
+    # corruption, not a killed writer: strict.
+    document = load_trace(path, strict=True)
+    problems = document.reconcile()
+    if not document.sampled:
+        problems += reconcile_with_stats(document.branches, stats)
+    if problems:
+        for problem in problems:
+            print(f"RECONCILE: {problem}")
+        # A sampled trace legitimately can't reconcile per-branch;
+        # only full traces make mismatches fatal.
+        if not document.sampled:
+            sys.exit(1)
+    else:
+        print(f"validated {path}: {len(document.branches)} branch records, "
+              f"{len(document.intervals)} intervals, reconciled clean "
+              f"against run stats")
 
 
 def cmd_run(args: argparse.Namespace) -> None:
+    cycle = args.engine == "cycle"
+    if args.warmup is None:
+        args.warmup = 0 if cycle else 10_000
+    _check_run_flags(args)
     predictor = _predictor_for(args.predictor, args.backend)
     if args.load_state:
         if not isinstance(predictor, LookaheadBranchPredictor):
@@ -229,22 +246,44 @@ def cmd_run(args: argparse.Namespace) -> None:
     profile = MispredictProfile() if args.hot_branches else None
     session = None
     if args.telemetry or args.trace_out or args.metrics_out:
-        session = _make_session(args, predictor)
+        # The session skips the warmup, so telemetry aggregates exactly
+        # the counted phase (like RunStats).
+        session = TelemetrySession(
+            predictor=predictor
+            if isinstance(predictor, LookaheadBranchPredictor) else None,
+            interval=args.interval,
+            trace_path=args.trace_out,
+            trace_every=args.every,
+            skip=args.warmup,
+        ).begin(workload=args.workload, predictor=args.predictor,
+                seed=args.seed, branches=args.branches)
     span_writer, spans = _span_tracer(args, "run")
-    engine = FunctionalEngine(predictor, profile=profile, telemetry=session,
-                              engine_mode=args.engine_mode, spans=spans)
+    if cycle:
+        # Every branch is counted, so the profile rides the observer seam.
+        engine = CycleEngine(predictor, smt2=args.smt2,
+                             lookahead_prefetch=not args.no_prefetch,
+                             observer=profile.record if profile else None,
+                             telemetry=session, engine_mode="fast",
+                             spans=spans)
+        run_program = engine.run_program
+    else:
+        engine = FunctionalEngine(predictor, profile=profile,
+                                  telemetry=session, engine_mode="fast",
+                                  spans=spans)
+        run_program = partial(engine.run_program,
+                              warmup_branches=args.warmup)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    stats = _profiled(args, lambda: engine.run_program(
+    stats = _profiled(args, lambda: run_program(
         get_workload(args.workload, args.seed),
         max_branches=args.branches,
-        warmup_branches=args.warmup,
         seed=args.seed,
     ))
     wall_seconds = time.perf_counter() - wall_start
     cpu_seconds = time.process_time() - cpu_start
+    accuracy = stats.accuracy if cycle else stats
     if session is not None:
-        session.finish(stats)
+        session.finish(accuracy)
     _finish_spans(span_writer, spans)
     print(stats.report(f"{args.predictor} / {args.workload}"))
     if profile is not None:
@@ -254,20 +293,26 @@ def cmd_run(args: argparse.Namespace) -> None:
         print()
         print(session.report(f"{args.predictor} / {args.workload} telemetry"))
         if args.trace_out:
-            print(f"wrote {args.trace_out}")
+            print(f"wrote {args.trace_out} "
+                  f"({session.writer.records_written} records)")
+        if args.validate:
+            _validate_trace(args.trace_out, accuracy)
         if args.metrics_out:
             _write_metrics(args.metrics_out, session.telemetry)
     if args.stats_json:
         from repro.obs.manifest import build_manifest
         from repro.verification.differential import predictor_fingerprint
 
-        payload = _stats_payload(stats)
+        payload = stats_to_dict(stats, args.engine)
+        if session is not None:
+            # Top-level registry and samples: what `repro export` reads.
+            payload.update(session.to_dict())
         payload["manifest"] = build_manifest(
             "run",
             config=getattr(predictor, "config", None),
             config_name=args.predictor,
             backend=args.backend,
-            engine_mode=args.engine_mode,
+            engine_mode=engine.engine_mode,
             workload=args.workload,
             seed=args.seed,
             branches=args.branches,
@@ -279,6 +324,7 @@ def cmd_run(args: argparse.Namespace) -> None:
             ),
             wall_seconds=wall_seconds,
             cpu_seconds=cpu_seconds,
+            extra={"engine": args.engine},
         )
         _write_json(args.stats_json, payload)
     if args.save_state:
@@ -286,50 +332,6 @@ def cmd_run(args: argparse.Namespace) -> None:
             raise SystemExit("--save-state requires a generation preset")
         saved = save_state(predictor, args.save_state)
         print(f"saved state: {saved} -> {args.save_state}")
-
-
-def cmd_compare(args: argparse.Namespace) -> None:
-    names = args.predictors or list(GENERATIONS)
-    payloads = {}
-    print(f"{'predictor':<14} {'coverage':>9} {'accuracy':>9} {'MPKI':>9}")
-    print("-" * 45)
-    for name in names:
-        engine = FunctionalEngine(_predictor_for(name))
-        stats = engine.run_program(
-            get_workload(args.workload, args.seed),
-            max_branches=args.branches,
-            warmup_branches=args.warmup,
-            seed=args.seed,
-        )
-        print(
-            f"{name:<14} {stats.dynamic_coverage:>8.2%} "
-            f"{stats.direction_accuracy:>8.2%} {stats.mpki:>9.3f}"
-        )
-        if args.stats_json:
-            payloads[name] = _stats_payload(stats)
-    if args.stats_json:
-        _write_json(args.stats_json, {
-            "workload": args.workload,
-            "seed": args.seed,
-            "branches": args.branches,
-            "warmup": args.warmup,
-            "predictors": payloads,
-        })
-
-
-def cmd_cycles(args: argparse.Namespace) -> None:
-    predictor = _predictor_for(args.predictor, args.backend)
-    if not isinstance(predictor, LookaheadBranchPredictor):
-        raise SystemExit("the cycle engine requires a generation preset")
-    engine = CycleEngine(predictor, smt2=args.smt2,
-                         lookahead_prefetch=not args.no_prefetch,
-                         engine_mode=args.engine_mode)
-    stats = engine.run_program(
-        get_workload(args.workload, args.seed),
-        max_branches=args.branches,
-        seed=args.seed,
-    )
-    print(stats.report(f"{args.predictor} / {args.workload}"))
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
@@ -616,7 +618,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
         branches=args.branches,
         seed=args.seed,
         warmup=args.warmup,
-        engine_mode=args.engine_mode,
+        engine_mode="fast",
     )
     counters = impact.fault_counters
     parity = "on" if plan.parity else "off"
@@ -670,58 +672,13 @@ def cmd_faults(args: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def cmd_trace(args: argparse.Namespace) -> None:
-    predictor = _predictor_for(args.predictor, args.backend)
-    session = _make_session(args, predictor)
-    engine = FunctionalEngine(predictor, telemetry=session,
-                              engine_mode=args.engine_mode)
-    stats = engine.run_program(
-        get_workload(args.workload, args.seed),
-        max_branches=args.branches,
-        warmup_branches=args.warmup,
-        seed=args.seed,
-    )
-    session.finish(stats)
-    print(stats.report(f"{args.predictor} / {args.workload}"))
-    print()
-    print(session.report(f"{args.predictor} / {args.workload} telemetry"))
-    if args.trace_out:
-        records = session.writer.records_written if session.writer else 0
-        print(f"wrote {args.trace_out} ({records} records)")
-    if args.json:
-        payload = session.to_dict()
-        payload["stats"] = _stats_payload(stats)
-        _write_json(args.json, payload)
-    if args.validate:
-        if not args.trace_out:
-            raise SystemExit("--validate requires --trace-out")
-        from repro.obs.trace import reconcile_with_stats
-
-        document = load_trace(args.trace_out, strict=args.strict)
-        problems = document.reconcile()
-        if not document.sampled:
-            problems += reconcile_with_stats(document.branches, stats)
-        if problems:
-            for problem in problems:
-                print(f"RECONCILE: {problem}")
-            # A sampled trace legitimately can't reconcile per-branch;
-            # only full traces make mismatches fatal.
-            if not document.sampled:
-                sys.exit(1)
-        else:
-            print(
-                f"validated {args.trace_out}: {len(document.branches)} "
-                f"branch records, {len(document.intervals)} intervals, "
-                f"reconciled clean against run stats"
-            )
-
-
 def _load_export_source(path: str, strict: bool = False):
     """Classify a telemetry artifact for ``repro export``.
 
-    Accepts a run/trace ``--json`` payload (one Telemetry ``to_dict``
-    document), a ``repro-sweep-telemetry/v1`` dump (grouped per
-    (label, workload)), an OpenMetrics text file written by
+    Accepts a ``run --telemetry --stats-json`` payload (one Telemetry
+    ``to_dict`` document at top level), a ``repro-sweep-telemetry/v1``
+    dump (grouped per (label, workload)), an OpenMetrics text file
+    written by
     ``--metrics-out`` (re-parsed, so ``export x.om --format json``
     converts back to canonical JSON), or a sweep/fleet checkpoint
     stream whose cells ran with ``--telemetry`` (grouped per (backend,
@@ -959,13 +916,34 @@ def cmd_workloads(_args: argparse.Namespace) -> None:
         print(f"{spec.name:<20} {spec.description}")
 
 
+def _obs_options() -> argparse.ArgumentParser:
+    """The observability options ``run``, ``sweep`` and ``fleet`` share,
+    as an argparse parent.  None of them changes a result."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--telemetry", action="store_true",
+                        help="attach a telemetry session: run prints its "
+                             "per-component report; sweep and fleet cells "
+                             "carry their registries back on the results")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write the telemetry as OpenMetrics text, "
+                             "rolled up per (backend, engine-mode, "
+                             "workload) for sweep and fleet (implies "
+                             "--telemetry)")
+    parser.add_argument("--spans-out", metavar="PATH",
+                        help="write phase spans as JSONL (repro-spans/v1): "
+                             "the engine phases of a run, the pool phases "
+                             "(serialize/transfer/execute/merge) of a grid")
+    return parser
+
+
 def _grid_options() -> argparse.ArgumentParser:
     """The options ``sweep`` and ``fleet`` share, as an argparse parent.
 
     Built fresh for each command: parents share their action objects,
     so one command's ``set_defaults(workers=...)`` would otherwise
     rewrite the other's default."""
-    parser = argparse.ArgumentParser(add_help=False)
+    parser = argparse.ArgumentParser(add_help=False,
+                                     parents=[_obs_options()])
     parser.add_argument("--configs", nargs="*", metavar="GEN",
                         default=list(GENERATIONS),
                         help="generation presets (default: all four)")
@@ -993,18 +971,6 @@ def _grid_options() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="refuse a torn final line in the --resume "
                              "stream instead of silently dropping it")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="attach a telemetry session to every cell "
-                             "(results are unchanged; registries ride back "
-                             "on the results)")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write per-(backend, engine-mode, workload) "
-                             "telemetry rollups as OpenMetrics text "
-                             "(implies --telemetry)")
-    parser.add_argument("--spans-out", metavar="PATH",
-                        help="write (parallel) pool phase spans "
-                             "(serialize/transfer/execute/merge) as JSONL "
-                             "(repro-spans/v1)")
     return parser
 
 
@@ -1015,22 +981,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run one predictor/workload")
+    run_parser = sub.add_parser(
+        "run", parents=[_obs_options()],
+        help="run one predictor over one workload: accuracy on the "
+             "functional engine, timing on the cycle engine")
     run_parser.add_argument("workload", nargs="?", default="transactions")
-    run_parser.add_argument("--predictor", default="z15")
+    run_parser.add_argument("--predictor", default="z15",
+                            help="generation preset or baseline predictor "
+                                 "(default z15)")
+    run_parser.add_argument("--engine", choices=("functional", "cycle"),
+                            default="functional",
+                            help="functional (accuracy report) or cycle "
+                                 "(front-end timing report); default "
+                                 "functional")
     run_parser.add_argument("--backend", choices=sorted(BACKENDS),
                             default="object",
                             help="predictor backend (generation presets "
                                  "only; default object)")
     run_parser.add_argument("--branches", type=int, default=30_000)
-    run_parser.add_argument("--warmup", type=int, default=10_000)
+    run_parser.add_argument("--warmup", type=int,
+                            help="uncounted warmup branches (default 10000 "
+                                 "on the functional engine; the cycle "
+                                 "engine has no warmup phase)")
     run_parser.add_argument("--seed", type=int, default=1)
-    run_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
-                            default="reference",
-                            help="drive mode: reference interpreter or the "
-                                 "config-specialized compiled kernels "
-                                 "(byte-identical results; default "
-                                 "reference)")
+    run_parser.add_argument("--smt2", action="store_true",
+                            help="cycle engine: SMT2 search and fetch rates "
+                                 "(two threads share the port)")
+    run_parser.add_argument("--no-prefetch", action="store_true",
+                            help="cycle engine: no lookahead I-cache "
+                                 "prefetch")
     run_parser.add_argument("--hot-branches", action="store_true",
                             help="print the hot-branch mispredict profile")
     run_parser.add_argument("--profile", action="store_true",
@@ -1039,58 +1018,28 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--profile-top", type=int, default=15,
                             metavar="N",
                             help="rows per cProfile table (default 15)")
-    run_parser.add_argument("--telemetry", action="store_true",
-                            help="attach a telemetry session and print the "
-                                 "per-component report")
     run_parser.add_argument("--trace-out", metavar="PATH",
-                            help="write a JSONL branch trace (implies "
-                                 "--telemetry)")
+                            help="write a JSONL branch trace "
+                                 "(repro-trace/v1; implies --telemetry)")
+    run_parser.add_argument("--every", type=int, default=1, metavar="N",
+                            help="trace every N-th branch (default 1; >1 "
+                                 "disables per-branch reconciliation)")
+    run_parser.add_argument("--validate", action="store_true",
+                            help="re-load the written trace, schema-check "
+                                 "every line and reconcile it against the "
+                                 "run's stats (exit 1 on a mismatch)")
     run_parser.add_argument("--interval", type=int, default=2_000,
                             help="telemetry sampling window in branches "
                                  "(default 2000; 0 disables)")
     run_parser.add_argument("--stats-json", metavar="PATH",
-                            help="write the run stats (with the embedded "
-                                 "run manifest) as machine-readable JSON")
-    run_parser.add_argument("--metrics-out", metavar="PATH",
-                            help="write the run telemetry as OpenMetrics "
-                                 "text (implies --telemetry)")
-    run_parser.add_argument("--spans-out", metavar="PATH",
-                            help="write engine phase spans as JSONL "
-                                 "(repro-spans/v1; results unchanged)")
+                            help="write the run stats, the telemetry "
+                                 "registry and samples when attached, and "
+                                 "the run manifest as JSON")
     run_parser.add_argument("--save-state", metavar="PATH",
                             help="save the learned BTB/CTB state after the run")
     run_parser.add_argument("--load-state", metavar="PATH",
                             help="preload saved state before the run")
     run_parser.set_defaults(func=cmd_run)
-
-    compare_parser = sub.add_parser("compare",
-                                    help="compare predictors on a workload")
-    compare_parser.add_argument("workload", nargs="?", default="transactions")
-    compare_parser.add_argument("--predictors", nargs="*",
-                                help="default: the four generation presets")
-    compare_parser.add_argument("--branches", type=int, default=20_000)
-    compare_parser.add_argument("--warmup", type=int, default=8_000)
-    compare_parser.add_argument("--seed", type=int, default=1)
-    compare_parser.add_argument("--stats-json", metavar="PATH",
-                                help="write per-predictor stats as "
-                                     "machine-readable JSON")
-    compare_parser.set_defaults(func=cmd_compare)
-
-    cycles_parser = sub.add_parser("cycles", help="cycle-level timing run")
-    cycles_parser.add_argument("workload", nargs="?", default="transactions")
-    cycles_parser.add_argument("--predictor", default="z15")
-    cycles_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                               default="object")
-    cycles_parser.add_argument("--branches", type=int, default=15_000)
-    cycles_parser.add_argument("--seed", type=int, default=1)
-    cycles_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
-                               default="reference",
-                               help="drive mode for the prediction pipeline "
-                                    "(timing model unchanged; default "
-                                    "reference)")
-    cycles_parser.add_argument("--smt2", action="store_true")
-    cycles_parser.add_argument("--no-prefetch", action="store_true")
-    cycles_parser.set_defaults(func=cmd_cycles)
 
     verify_parser = sub.add_parser("verify",
                                    help="white-box verification run")
@@ -1211,58 +1160,17 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser.add_argument("--audit-interval", type=int, default=1_000,
                                help="structural audit every N branches "
                                     "(0 disables; default 1000)")
-    faults_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
-                               default="reference",
-                               help="drive mode for both the fault-free and "
-                                    "faulted runs (default reference)")
     faults_parser.add_argument("--stats-json", metavar="PATH",
                                help="write the campaign report as "
                                     "machine-readable JSON")
     faults_parser.set_defaults(func=cmd_faults)
-
-    trace_parser = sub.add_parser(
-        "trace",
-        help="telemetry-instrumented run with a JSONL branch trace")
-    trace_parser.add_argument("--workload", default="transactions")
-    trace_parser.add_argument("--predictor", default="z15")
-    trace_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                              default="object")
-    trace_parser.add_argument("--branches", type=int, default=10_000)
-    trace_parser.add_argument("--warmup", type=int, default=0,
-                              help="uncounted warmup branches (default 0 so "
-                                   "the trace covers the whole run)")
-    trace_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
-                              default="reference",
-                              help="drive mode (telemetry rides the same "
-                                   "observer seam in both; default "
-                                   "reference)")
-    trace_parser.add_argument("--seed", type=int, default=1)
-    trace_parser.add_argument("--interval", type=int, default=1_000,
-                              help="interval-sampler window in branches "
-                                   "(default 1000; 0 disables)")
-    trace_parser.add_argument("--every", type=int, default=1,
-                              help="record every N-th branch (default 1; "
-                                   ">1 disables per-branch reconciliation)")
-    trace_parser.add_argument("--trace-out", metavar="PATH",
-                              help="JSONL trace output path")
-    trace_parser.add_argument("--json", metavar="PATH",
-                              help="write the telemetry registry + stats as "
-                                   "JSON")
-    trace_parser.add_argument("--validate", action="store_true",
-                              help="re-load the written trace, schema-check "
-                                   "every line and reconcile against the "
-                                   "run's stats")
-    trace_parser.add_argument("--strict", action="store_true",
-                              help="with --validate, refuse a torn final "
-                                   "trace line instead of dropping it")
-    trace_parser.set_defaults(func=cmd_trace)
 
     export_parser = sub.add_parser(
         "export",
         help="render a telemetry artifact as OpenMetrics text or "
              "canonical JSON")
     export_parser.add_argument("input", metavar="PATH",
-                               help="telemetry JSON payload, "
+                               help="run --telemetry --stats-json payload, "
                                     "repro-sweep-telemetry/v1 dump or "
                                     "checkpoint stream with telemetry rows")
     export_parser.add_argument("--format", choices=("openmetrics", "json"),

@@ -41,6 +41,7 @@ from repro.engine.stream import (
     result_to_row,
     row_to_result,
     run_checkpointed,
+    stats_to_dict,
 )
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "result_to_row",
     "row_to_result",
     "run_checkpointed",
+    "stats_to_dict",
     "build_fleet_grid",
     "run_fleet",
     "ENGINE_MODES",

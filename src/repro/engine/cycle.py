@@ -22,13 +22,13 @@ from typing import Dict, Optional
 from repro.common.slots import add_slots
 from repro.configs.timing import TimingConfig
 from repro.core.predictor import LookaheadBranchPredictor, PredictionOutcome
-from repro.engine.kernel import _chain_observers, predict_one
+from repro.engine.kernel import _chain_observers
 from repro.engine.specialize import effective_engine_mode, kernels_for
 from repro.frontend.icache import (
     InstructionCacheHierarchy,
     z15_hierarchy_configs,
 )
-from repro.stats.metrics import MispredictClass, RunStats, classify
+from repro.stats.metrics import MispredictClass, RunStats
 from repro.workloads.executor import Executor
 from repro.workloads.program import Program
 
@@ -206,7 +206,8 @@ class CycleEngine:
         spans = self.spans
         if spans:
             phase_start = time.perf_counter()
-        # predict_one's order, inlined: predict, observer, record.
+        # The engines' consume order: predict, observer, record; then
+        # the timing advance, which takes the class record folded.
         for branch in executor.run(max_branches=max_branches):
             executed = executor.instructions_executed
             gap = executed - instructions_before - 1
@@ -214,8 +215,7 @@ class CycleEngine:
             outcome = predict(branch)
             if observer is not None:
                 observer(outcome)
-            record(outcome)
-            advance(clocks, branch, outcome, gap)
+            advance(clocks, branch, outcome, gap, record(outcome))
         if spans:
             spans.observe("engine.counted",
                           time.perf_counter() - phase_start,
@@ -261,8 +261,11 @@ class CycleEngine:
             gap = (executor.instructions_executed
                    - instructions_before[thread] - 1)
             instructions_before[thread] = executor.instructions_executed
-            outcome = predict_one(predict, event, observer, record)
-            self._advance(self._clocks_for(thread), event, outcome, max(0, gap))
+            outcome = predict(event)
+            if observer is not None:
+                observer(outcome)
+            self._advance(self._clocks_for(thread), event, outcome,
+                          max(0, gap), record(outcome))
         self.predictor.finalize()
         self.stats.instructions = run.instructions_executed
         self.stats.branches = max_branches
@@ -290,9 +293,10 @@ class CycleEngine:
     # ------------------------------------------------------------------
 
     def _advance(self, clocks: _Clocks, branch, outcome: PredictionOutcome,
-                 gap: int) -> None:
+                 gap: int, klass: MispredictClass) -> None:
         """Advance one thread's clocks across one branch (plus its
-        leading non-branch instructions)."""
+        leading non-branch instructions); *klass* is the outcome's
+        class, as ``RunStats.record`` returned it."""
         trace = outcome.trace
         record = outcome.record
         stats = self.stats
@@ -340,7 +344,6 @@ class CycleEngine:
             self._apply_restart(clocks, penalty, resync_to=None)
 
         # --- Resolution ---
-        klass = classify(outcome)
         if klass is _NONE:
             if branch.taken:
                 # Correct taken prediction: fetch redirects to the target;

@@ -52,21 +52,6 @@ def _chain_observers(observer, telemetry, injector=None):
     return chained
 
 
-def predict_one(predict, branch, observer, record):
-    """Drive one branch through the shared consume sequence.
-
-    ``predict`` -> observer (when attached) -> ``record``; returns the
-    outcome for engines that do per-branch work of their own (the cycle
-    engine's timing advance).  The order is part of the cross-engine
-    contract: observers see the outcome before stats accumulate it.
-    """
-    outcome = predict(branch)
-    if observer is not None:
-        observer(outcome)
-    record(outcome)
-    return outcome
-
-
 def run_warmup(predict, stream, warmup_branches, observer):
     """Drive the uncounted warmup prefix of *stream*.
 
@@ -91,7 +76,8 @@ def drive_counted(predict, stream, record, observer=None, extra=None):
 
     *record* is the stats sink (``RunStats.record``); *extra* an
     optional second recorder (a mispredict profile).  The loop body is
-    the same consume sequence as :func:`predict_one`, unrolled into
+    the shared consume sequence (predict, observer, record: observers
+    see the outcome before stats accumulate it), unrolled into
     per-combination loops so the common no-consumer case carries no
     invariant is-None checks per branch.
     """

@@ -93,8 +93,7 @@ class RestoredStats:
 
 
 def _accuracy_dict(stats) -> dict:
-    """The invariant slice plus derived headline metrics of a RunStats
-    (mirrors the CLI's machine-readable stats payload)."""
+    """The invariant slice plus derived headline metrics of a RunStats."""
     from repro.verification.differential import comparable_stats
 
     payload = comparable_stats(stats)
@@ -114,7 +113,15 @@ _CYCLE_FIELDS = (
 )
 
 
-def _stats_to_dict(stats, engine: str) -> dict:
+def stats_to_dict(stats, engine: str) -> dict:
+    """The machine-readable stats of one run or cell: ``repro run
+    --stats-json`` writes it, and each stream row carries it.
+
+    A functional run gives the invariant slice plus the derived
+    headline metrics; a cycle run (*engine* ``"cycle"``) gives the
+    ``CycleStats`` scalars and cache levels, with the same accuracy
+    dict under ``accuracy``.
+    """
     if isinstance(stats, RestoredStats):
         return stats.to_dict()
     if engine == "cycle":
@@ -173,7 +180,7 @@ def result_to_row(
         }
     else:
         row["status"] = "ok"
-        row["stats"] = _stats_to_dict(result.stats, cell.engine)
+        row["stats"] = stats_to_dict(result.stats, cell.engine)
         row["error"] = None
     return row
 

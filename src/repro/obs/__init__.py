@@ -5,8 +5,9 @@ RunStats` aggregate.  Attach a :class:`TelemetrySession` to an engine
 (the ``telemetry=`` constructor parameter, or pass ``session.observe``
 as the ``observer``) to get per-component counters, an interval time
 series and — optionally — a schema-versioned JSONL branch trace that
-``repro trace --validate`` and :func:`repro.stats.analysis.load_trace`
-can round-trip and reconcile against the run's stats.
+``repro run --trace-out PATH --validate`` and
+:func:`repro.stats.analysis.load_trace` can round-trip and reconcile
+against the run's stats.
 
 On top of the per-run layer sit the fleet-level pieces:
 

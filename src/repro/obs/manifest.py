@@ -33,8 +33,8 @@ from repro.common.workers import usable_cpus
 MANIFEST_SCHEMA = "repro-manifest/v1"
 
 #: Invocation kinds a manifest describes.
-MANIFEST_KINDS = ("run", "cycles", "trace", "faults", "sweep", "fleet",
-                  "cell", "bench", "serve", "loadgen", "chaos")
+MANIFEST_KINDS = ("run", "faults", "sweep", "fleet", "cell", "bench",
+                  "serve", "loadgen", "chaos")
 
 #: Keys every manifest must carry (beyond these, kinds add freely).
 REQUIRED_FIELDS = ("schema", "kind", "host")

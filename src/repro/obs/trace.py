@@ -15,8 +15,8 @@ The schema is versioned (:data:`TRACE_SCHEMA`); loaders reject files
 whose header claims a different version.  When a trace is unsampled
 (``every == 1``) :func:`reconcile` recomputes every shared accuracy
 invariant from the branch records and diffs it against the summary —
-the cross-check the ``repro trace --validate`` CLI and the CI trace
-smoke job run.
+the cross-check ``repro run --trace-out PATH --validate`` and the CI
+trace smoke job run.
 
 Timestamps are deliberately absent: a trace of a seeded run is
 byte-reproducible, which is what lets tests pin round-trips.

@@ -115,8 +115,10 @@ class RunStats:
     cpred_accelerated_streams: int = 0
     predicted_taken_dynamic: int = 0
 
-    def record(self, outcome: PredictionOutcome) -> None:
-        """Fold one prediction outcome in."""
+    def record(self, outcome: PredictionOutcome) -> MispredictClass:
+        """Fold one prediction outcome in; returns the class it folded,
+        so a caller that needs it (the cycle engine's restart
+        accounting) need not classify the outcome again."""
         record = outcome.record
         trace = outcome.trace
         dynamic = record.dynamic
@@ -186,6 +188,7 @@ class RunStats:
             self.skoot_overshoots += 1
         if trace.cpred_accelerated:
             self.cpred_accelerated_streams += 1
+        return klass
 
     # ------------------------------------------------------------------
     # Derived metrics

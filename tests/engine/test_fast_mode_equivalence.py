@@ -1,7 +1,7 @@
 """The backends × engine-modes differential battery.
 
-``--engine-mode fast`` claims byte-identical behaviour to the reference
-interpreter: same committed branch stream, same
+Fast mode (``engine_mode="fast"``) claims byte-identical behaviour to
+the reference interpreter: same committed branch stream, same
 :class:`~repro.stats.metrics.RunStats` invariants, same learned table
 fingerprints, byte-identical ``state_io`` checkpoints — on every
 backend, every generation config, with telemetry, fault injection and

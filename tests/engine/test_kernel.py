@@ -11,7 +11,6 @@ dry-stream edge where the stream ends before warmup does.
 from repro.engine.kernel import (
     _chain_observers,
     drive_counted,
-    predict_one,
     run_warmup,
 )
 
@@ -74,26 +73,8 @@ def test_two_consumer_chain_skips_the_missing_slot():
 
 
 # ----------------------------------------------------------------------
-# predict_one / drive_counted: consume-sequence order
+# drive_counted: consume-sequence order
 # ----------------------------------------------------------------------
-
-
-def test_predict_one_runs_observer_before_record():
-    log = []
-    outcome = predict_one(
-        lambda branch: f"outcome-{branch}",
-        "b1",
-        lambda outcome: log.append(("observer", outcome)),
-        lambda outcome: log.append(("record", outcome)),
-    )
-    assert outcome == "outcome-b1"
-    assert log == [("observer", "outcome-b1"), ("record", "outcome-b1")]
-
-
-def test_predict_one_without_observer_still_records():
-    log = []
-    predict_one(lambda branch: branch, "b1", None, log.append)
-    assert log == ["b1"]
 
 
 def test_drive_counted_order_with_all_consumers():

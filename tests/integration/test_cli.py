@@ -46,19 +46,24 @@ def test_run_with_cprofile(capsys):
 def test_run_fast_mode_matches_reference_stats(capsys, tmp_path):
     import json
 
-    ref_path = tmp_path / "ref.json"
-    fast_path = tmp_path / "fast.json"
+    from repro.configs import z15_config
+    from repro.core import LookaheadBranchPredictor
+    from repro.engine import FunctionalEngine, stats_to_dict
+    from repro.workloads import get_workload
+
+    path = tmp_path / "fast.json"
     run_cli(capsys, "run", "dispatch", "--branches", "1500", "--warmup",
-            "300", "--stats-json", str(ref_path))
-    run_cli(capsys, "run", "dispatch", "--branches", "1500", "--warmup",
-            "300", "--engine-mode", "fast", "--stats-json", str(fast_path))
-    ref = json.loads(ref_path.read_text())
-    fast = json.loads(fast_path.read_text())
-    # The manifest legitimately differs (engine_mode, wall timings);
-    # every stat must not.
-    assert ref.pop("manifest")["engine_mode"] == "reference"
+            "300", "--stats-json", str(path))
+    fast = json.loads(path.read_text())
+    reference = FunctionalEngine(
+        LookaheadBranchPredictor(z15_config()), engine_mode="reference",
+    ).run_program(get_workload("dispatch", 1), max_branches=1500,
+                  warmup_branches=300, seed=1)
+    # The CLI runs the compiled kernels; minus its manifest, its
+    # payload is the reference pipeline's stats.
     assert fast.pop("manifest")["engine_mode"] == "fast"
-    assert ref == fast
+    assert fast == json.loads(json.dumps(
+        stats_to_dict(reference, "functional")))
 
 
 def test_run_baseline_predictor(capsys):
@@ -67,20 +72,71 @@ def test_run_baseline_predictor(capsys):
     assert "gshare / patterned" in out
 
 
+@pytest.mark.parametrize("predictor, mode",
+                         [("gshare", "reference"), ("z15", "fast")])
+def test_run_manifest_records_the_mode_that_drove_the_run(
+        capsys, tmp_path, predictor, mode):
+    import json
+
+    # Baselines have no compiled kernel: the run falls back to the
+    # reference pipeline, and the manifest must say so.
+    path = tmp_path / "stats.json"
+    run_cli(capsys, "run", "patterned", "--predictor", predictor,
+            "--branches", "500", "--warmup", "0", "--stats-json", str(path))
+    assert json.loads(path.read_text())["manifest"]["engine_mode"] == mode
+
+
 def test_compare(capsys):
-    out = run_cli(capsys, "compare", "patterned", "--predictors", "z13",
-                  "z15", "--branches", "1500", "--warmup", "500")
+    out = run_cli(capsys, "sweep", "--configs", "z13", "z15", "--workloads",
+                  "patterned", "--branches", "1500", "--warmup", "500")
     assert "z13" in out and "z15" in out
 
 
 def test_cycles(capsys):
-    out = run_cli(capsys, "cycles", "compute-kernel", "--branches", "1500")
+    out = run_cli(capsys, "run", "compute-kernel", "--engine", "cycle",
+                  "--branches", "1500")
     assert "CPI" in out
 
 
 def test_cycles_rejects_baseline(capsys):
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "cycles", "patterned", "--predictor", "gshare")
+    with pytest.raises(SystemExit, match="requires a generation preset"):
+        run_cli(capsys, "run", "patterned", "--engine", "cycle",
+                "--predictor", "gshare")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--smt2"], "--smt2 requires --engine cycle"),
+    (["--no-prefetch"], "--no-prefetch requires --engine cycle"),
+    (["--engine", "cycle", "--warmup", "100"], "no warmup phase"),
+    (["--every", "4"], "--every requires --trace-out"),
+], ids=["smt2", "no-prefetch", "cycle-warmup", "every"])
+def test_run_rejects_a_flag_it_would_ignore(flags, message):
+    with pytest.raises(SystemExit) as caught:
+        main(["run", "patterned", "--branches", "200", *flags])
+    assert message in caught.value.code
+    assert "\n" not in caught.value.code
+
+
+def test_run_cycle_engine_stats_json(capsys, tmp_path):
+    import json
+
+    path = tmp_path / "cycle.json"
+    out = run_cli(capsys, "run", "compute-kernel", "--engine", "cycle",
+                  "--branches", "1000", "--hot-branches", "--telemetry",
+                  "--stats-json", str(path))
+    assert "hot branches" in out
+    payload = json.loads(path.read_text())
+    assert payload["branches"] == payload["accuracy"]["branches"] == 1000
+    assert payload["cycles"] > 0 and payload["cpi"] > 0
+    assert set(payload["cache_levels"]) >= {"L1I", "L2I"}
+    assert payload["accuracy"]["mpki"] >= 0
+    assert payload["counters"]["engine.branches"] == 1000
+    manifest = payload["manifest"]
+    assert manifest["kind"] == "run"
+    assert manifest["engine"] == "cycle"
+    assert manifest["engine_mode"] == "fast"
+    assert manifest["warmup"] == 0
+    assert manifest["stats"]["cycles"] == payload["cycles"]
 
 
 def test_verify_clean(capsys):
@@ -100,10 +156,11 @@ GENERATION_NAMES = ["zEC12", "z13", "z14", "z15"]
 DEFAULTS = {
     "run": {
         "workload": "transactions", "predictor": "z15", "backend": "object",
-        "branches": 30_000, "warmup": 10_000, "seed": 1,
-        "engine_mode": "reference", "hot_branches": False,
-        "profile": False, "profile_top": 15, "telemetry": False,
-        "trace_out": None, "interval": 2_000, "stats_json": None,
+        "engine": "functional", "branches": 30_000, "warmup": None,
+        "seed": 1, "smt2": False, "no_prefetch": False,
+        "hot_branches": False, "profile": False, "profile_top": 15,
+        "telemetry": False, "trace_out": None, "every": 1,
+        "validate": False, "interval": 2_000, "stats_json": None,
         "metrics_out": None, "spans_out": None, "save_state": None,
         "load_state": None,
     },
@@ -134,7 +191,7 @@ DEFAULTS = {
 
 def test_parser_structure():
     parser = build_parser()
-    for command in ("run", "compare", "cycles", "verify", "workloads"):
+    for command in ("run", "verify", "workloads"):
         args = parser.parse_args([command] if command != "run"
                                  else ["run", "patterned"])
         assert args.command == command
@@ -181,19 +238,20 @@ def test_run_with_telemetry_report(capsys):
 
 
 def test_compare_stats_json(capsys, tmp_path):
-    import json
+    from repro.engine.stream import load_stream
 
-    path = str(tmp_path / "compare.json")
-    run_cli(capsys, "compare", "patterned", "--predictors", "z13", "z15",
-            "--branches", "1200", "--warmup", "300", "--stats-json", path)
-    payload = json.load(open(path))
-    assert set(payload["predictors"]) == {"z13", "z15"}
-    assert payload["predictors"]["z15"]["branches"] == 1200
+    path = str(tmp_path / "compare.jsonl")
+    run_cli(capsys, "sweep", "--configs", "z13", "z15", "--workloads",
+            "patterned", "--branches", "1200", "--warmup", "300",
+            "--stream-out", path)
+    stats = {row["cell"]["label"]: row["stats"] for row in load_stream(path)}
+    assert set(stats) == {"z13", "z15"}
+    assert stats["z15"]["branches"] == 1200
 
 
 def test_trace_validate_round_trip(capsys, tmp_path):
     path = str(tmp_path / "trace.jsonl")
-    out = run_cli(capsys, "trace", "--workload", "patterned", "--branches",
+    out = run_cli(capsys, "run", "patterned", "--warmup", "0", "--branches",
                   "1200", "--interval", "400", "--trace-out", path,
                   "--validate")
     assert f"wrote {path}" in out
@@ -209,17 +267,17 @@ def test_trace_json_export(capsys, tmp_path):
     import json
 
     path = str(tmp_path / "telemetry.json")
-    run_cli(capsys, "trace", "--workload", "patterned", "--branches", "800",
-            "--interval", "0", "--json", path)
+    run_cli(capsys, "run", "patterned", "--warmup", "0", "--branches", "800",
+            "--interval", "0", "--telemetry", "--stats-json", path)
     payload = json.load(open(path))
     assert payload["counters"]["engine.branches"] == 800
-    assert payload["stats"]["branches"] == 800
+    assert payload["branches"] == 800
 
 
 def test_trace_validate_requires_trace_out(capsys):
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "trace", "--workload", "patterned", "--branches",
-                "200", "--validate")
+    with pytest.raises(SystemExit, match="--validate requires --trace-out"):
+        run_cli(capsys, "run", "patterned", "--branches", "200",
+                "--validate")
 
 
 @pytest.mark.parametrize("flags", [["--telemetry"], []],
