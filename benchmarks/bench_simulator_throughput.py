@@ -6,7 +6,7 @@ update pipeline) are caught.  Uses real pytest-benchmark rounds, unlike
 the reproduction benches which run once and print tables.  Beyond
 loose order-of-magnitude floors, the gate here is a ratio measured on
 the runner itself: the compiled fast mode must beat the reference
-interpreter by 1.3x, for one run and for a fleet-shaped sweep.
+interpreter by 1.5x, for one run and for a fleet-shaped sweep.
 Numbers for comparing commits come from ``perfbench/``.
 """
 
@@ -95,9 +95,12 @@ def test_fast_mode_throughput(benchmark, workload, backend):
 
 
 #: Fast mode must run at least this many times the reference
-#: interpreter's branches/second on the same runner (1.4-1.8x measured
-#: on a shared 2-vCPU host; the floor leaves headroom for noise).
-SPEEDUP_FLOOR = 1.3
+#: interpreter's branches/second on the same runner.  Five runs of the
+#: five ratios below on a shared 2-vCPU host read 1.62-2.11x with the
+#: kernels reading BTB1 and TAGE rows inline; the floor keeps the
+#: headroom the old 1.3x floor kept below its measured 1.4x (7-8%), so
+#: a change that gives the inline reads back fails here.
+SPEEDUP_FLOOR = 1.5
 SPEEDUP_REPEATS = 5
 
 

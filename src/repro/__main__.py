@@ -174,6 +174,13 @@ def _finish_spans(writer, tracer) -> None:
               f"{len(tracer.events)} events)")
 
 
+#: Rows per cProfile table when ``--profile-top`` is not given.
+PROFILE_TOP = 15
+
+#: Telemetry sampling window (branches) when ``--interval`` is not given.
+TELEMETRY_INTERVAL = 2_000
+
+
 def _profiled(args, work):
     """Run *work* under cProfile when ``--profile`` is set, printing a
     top-N table sorted by cumulative and by total time afterwards."""
@@ -185,15 +192,26 @@ def _profiled(args, work):
         return work()
     finally:
         profiler.disable()
-        top = args.profile_top
+        top = PROFILE_TOP if args.profile_top is None else args.profile_top
         for sort in ("cumulative", "tottime"):
             print(f"\n-- cProfile top {top} by {sort} --")
             pstats.Stats(profiler, stream=sys.stdout) \
                 .strip_dirs().sort_stats(sort).print_stats(top)
 
 
+def _check_profile_flags(args: argparse.Namespace) -> None:
+    if args.profile_top is not None and not args.profile:
+        raise SystemExit("--profile-top requires --profile")
+
+
 def _check_run_flags(args: argparse.Namespace) -> None:
     """Exit with a one-line message on a flag the run would ignore."""
+    _check_profile_flags(args)
+    if args.interval is not None and not (
+        args.telemetry or args.trace_out or args.metrics_out
+    ):
+        raise SystemExit("--interval requires --telemetry, --trace-out or "
+                         "--metrics-out")
     if args.engine == "cycle":
         if args.warmup:
             raise SystemExit("--warmup: the cycle engine has no warmup "
@@ -251,7 +269,8 @@ def cmd_run(args: argparse.Namespace) -> None:
         session = TelemetrySession(
             predictor=predictor
             if isinstance(predictor, LookaheadBranchPredictor) else None,
-            interval=args.interval,
+            interval=TELEMETRY_INTERVAL if args.interval is None
+            else args.interval,
             trace_path=args.trace_out,
             trace_every=args.every,
             skip=args.warmup,
@@ -388,6 +407,7 @@ def _exit_if_interrupted(shutdown, results, cells, stream_out) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    _check_profile_flags(args)
     _check_grid_names(args.configs, args.workloads)
     configs = [(name, GENERATIONS[name][0]()) for name in args.configs]
     cells = make_grid(configs, args.workloads, args.seeds,
@@ -612,6 +632,8 @@ def cmd_faults(args: argparse.Namespace) -> None:
         parity=args.parity,
         audit_interval=args.audit_interval,
     ).validate()
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
     impact = fault_equivalence_report(
         args.workload,
         plan,
@@ -620,6 +642,8 @@ def cmd_faults(args: argparse.Namespace) -> None:
         warmup=args.warmup,
         engine_mode="fast",
     )
+    wall_seconds = time.perf_counter() - wall_start
+    cpu_seconds = time.process_time() - cpu_start
     counters = impact.fault_counters
     parity = "on" if plan.parity else "off"
     print(f"fault campaign: {args.workload} x {args.branches} branches "
@@ -637,6 +661,8 @@ def cmd_faults(args: argparse.Namespace) -> None:
           f"accuracy {impact.faulted_accuracy:>7.2%}  "
           f"(delta {impact.mpki_delta:+.3f} MPKI)")
     if args.stats_json:
+        from repro.obs.manifest import build_manifest
+
         _write_json(args.stats_json, {
             "schema": "repro-faults/v1",
             "workload": args.workload,
@@ -663,6 +689,18 @@ def cmd_faults(args: argparse.Namespace) -> None:
             },
             "mpki_delta": impact.mpki_delta,
             "architecturally_equivalent": impact.report.clean,
+            "manifest": build_manifest(
+                "faults",
+                config=z15_config(),
+                engine_mode="fast",
+                workload=args.workload,
+                seed=args.seed,
+                branches=args.branches,
+                warmup=args.warmup,
+                fault_plan=plan,
+                wall_seconds=wall_seconds,
+                cpu_seconds=cpu_seconds,
+            ),
         })
     if impact.report.clean:
         print("  architectural equivalence: CLEAN — committed branch stream "
@@ -882,6 +920,8 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
     from repro.serve import SCENARIOS, run_chaos
 
     scenarios = list(args.scenarios) if args.scenarios else list(SCENARIOS)
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
     with contextlib.ExitStack() as stack:
         spool = args.spool
         if spool is None:
@@ -891,6 +931,8 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
         report = run_chaos(scenarios, args.seed, spool,
                            tenants=args.tenants, branches=args.branches,
                            batch=args.batch_size)
+    wall_seconds = time.perf_counter() - wall_start
+    cpu_seconds = time.process_time() - cpu_start
     for scenario in report["scenarios"]:
         verdict = "PASS" if scenario["passed"] else "FAIL"
         injected = {key: value for key, value
@@ -903,6 +945,17 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
                                                  not check["passed"]) else ""
             print(f"    [{mark}] {check['name']}{detail}")
     if args.json:
+        from repro.obs.manifest import build_manifest
+
+        report["manifest"] = build_manifest(
+            "chaos",
+            seed=args.seed,
+            branches=args.branches,
+            wall_seconds=wall_seconds,
+            cpu_seconds=cpu_seconds,
+            extra={"scenarios": scenarios, "tenants": args.tenants,
+                   "batch_size": args.batch_size},
+        )
         _write_json(args.json, report)
     if not report["passed"]:
         print("FAIL: at least one chaos scenario failed its checks")
@@ -933,6 +986,19 @@ def _obs_options() -> argparse.ArgumentParser:
                         help="write phase spans as JSONL (repro-spans/v1): "
                              "the engine phases of a run, the pool phases "
                              "(serialize/transfer/execute/merge) of a grid")
+    return parser
+
+
+def _profile_options() -> argparse.ArgumentParser:
+    """``--profile`` and ``--profile-top``, shared by ``run`` and
+    ``sweep`` as an argparse parent."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--profile", action="store_true",
+                        help="run under cProfile and print the top-N "
+                             "table (cumulative + tottime)")
+    parser.add_argument("--profile-top", type=int, metavar="N",
+                        help=f"rows per cProfile table (default "
+                             f"{PROFILE_TOP}; requires --profile)")
     return parser
 
 
@@ -982,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser(
-        "run", parents=[_obs_options()],
+        "run", parents=[_obs_options(), _profile_options()],
         help="run one predictor over one workload: accuracy on the "
              "functional engine, timing on the cycle engine")
     run_parser.add_argument("workload", nargs="?", default="transactions")
@@ -1012,12 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "prefetch")
     run_parser.add_argument("--hot-branches", action="store_true",
                             help="print the hot-branch mispredict profile")
-    run_parser.add_argument("--profile", action="store_true",
-                            help="run under cProfile and print the top-N "
-                                 "table (cumulative + tottime)")
-    run_parser.add_argument("--profile-top", type=int, default=15,
-                            metavar="N",
-                            help="rows per cProfile table (default 15)")
     run_parser.add_argument("--trace-out", metavar="PATH",
                             help="write a JSONL branch trace "
                                  "(repro-trace/v1; implies --telemetry)")
@@ -1028,9 +1088,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="re-load the written trace, schema-check "
                                  "every line and reconcile it against the "
                                  "run's stats (exit 1 on a mismatch)")
-    run_parser.add_argument("--interval", type=int, default=2_000,
-                            help="telemetry sampling window in branches "
-                                 "(default 2000; 0 disables)")
+    run_parser.add_argument("--interval", type=int, metavar="N",
+                            help=f"telemetry sampling window in branches "
+                                 f"(default {TELEMETRY_INTERVAL}; 0 "
+                                 f"disables; requires --telemetry, "
+                                 f"--trace-out or --metrics-out)")
     run_parser.add_argument("--stats-json", metavar="PATH",
                             help="write the run stats, the telemetry "
                                  "registry and samples when attached, and "
@@ -1072,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.set_defaults(func=cmd_verify_diff)
 
     sweep_parser = sub.add_parser(
-        "sweep", parents=[_grid_options()],
+        "sweep", parents=[_grid_options(), _profile_options()],
         help="parallel (config x workload x seed) sweep, checkpointable "
              "to a resumable stream")
     sweep_parser.set_defaults(workers=1, chunk_size=1)
@@ -1085,12 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default object)")
     sweep_parser.add_argument("--branches", type=int, default=6_000)
     sweep_parser.add_argument("--warmup", type=int, default=2_000)
-    sweep_parser.add_argument("--profile", action="store_true",
-                              help="run the sweep under cProfile and print "
-                                   "the top-N table")
-    sweep_parser.add_argument("--profile-top", type=int, default=15,
-                              metavar="N",
-                              help="rows per cProfile table (default 15)")
     sweep_parser.add_argument("--telemetry-json", metavar="PATH",
                               help="write every cell's telemetry registry "
                                    "as JSON (implies --telemetry)")

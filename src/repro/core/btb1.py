@@ -145,10 +145,12 @@ class Btb1:
         self.searches += 1
         # Hot path: inline the row scan over the live row list (called
         # once per searched line; row/tag math is inlined from
-        # row_of/tag_of with the precomputed constants).
-        hits = [
+        # row_of/tag_of with the precomputed constants).  A read builds
+        # no row: a row that was never written holds nothing.
+        data = self._table._data[row]
+        hits = [] if data is None else [
             BtbHit(row=row, way=way, entry=entry, line_base=base)
-            for way, entry in enumerate(self._table.row_ref(row))
+            for way, entry in enumerate(data)
             if entry is not None
             and entry.tag == tag
             and entry.offset >= min_offset

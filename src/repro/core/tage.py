@@ -152,7 +152,7 @@ class _TageTable:
         # Hot path: index_of/tag_of inlined down to the XOR-fold loops
         # (shared history extraction, no wrapper or fold-closure calls),
         # and the live row scanned directly instead of building a
-        # per-call match closure for find().
+        # per-call match closure for find().  A read builds no row.
         history = gpv_snapshot & self._history_mask
         row_bits = self._row_bits
         row = 0
@@ -169,7 +169,10 @@ class _TageTable:
         while value:
             tag ^= value & fold_mask
             value >>= tag_bits
-        for way, entry in enumerate(self._table.row_ref(row)):
+        data = self._table._data[row]
+        if data is None:
+            return None
+        for way, entry in enumerate(data):
             if entry is not None and entry.tag == tag:
                 self.hits += 1
                 self._table.policy(row).touch(way)

@@ -21,7 +21,13 @@ shape*, a flat kernel in which:
 * the per-branch allocations of the reference path (``SearchTrace``,
   ``DirectionDecision``, ``TargetDecision``, ``PredictionOutcome``)
   are elided entirely on the bare no-observer path, with the
-  ``RunStats`` fold inlined over local accumulators.
+  ``RunStats`` fold inlined over local accumulators; and
+* BTB1 and TAGE reads (the line search, both TAGE probes, the
+  completion-time re-finds and in-place training) read the tables'
+  ``_table._data`` rows directly, with no ``BtbHit``/``TableLookup``/
+  ``TageLookup`` per probe.  Every write that adds, removes or retags
+  an entry stays a method call, so the array backend's mirror stays
+  coherent; BTB2, the CTB and the perceptron stay behind their methods.
 
 The reference object path in :mod:`repro.core.predictor` stays the
 semantics definition; the generated code is a transcription of it, and
@@ -35,14 +41,19 @@ Observability contract of the generated kernels:
 
 * **Bare kernels** (no observer, telemetry, injector or profile
   attached) accumulate the predictor counters (``predictions``,
-  ``dynamic_predictions``, ``surprise_branches``, ``restarts``) and
-  all ``RunStats`` integers in locals, flushed in a ``finally`` so
-  exceptions and early exits leave exactly the state the reference
-  path would have left.
+  ``dynamic_predictions``, ``surprise_branches``, ``restarts``), the
+  BTB1 and TAGE read counters and all ``RunStats`` integers in locals,
+  flushed in a ``finally`` so exceptions and early exits leave exactly
+  the state the reference path would have left.
 * **Observed kernels** construct the same ``PredictionOutcome``
-  objects as the reference path and keep every predictor counter an
-  attribute update, because telemetry samplers harvest
-  ``component_counters()`` mid-run through the observer seam.
+  objects as the reference path and keep every predictor and
+  structure counter an attribute update, because telemetry samplers
+  harvest ``component_counters()`` mid-run through the observer seam.
+* **Reads build no state**: a table row that was never written reads
+  as a miss and stays unbuilt, as in ``Btb1.search_line`` and
+  ``_TageTable.lookup``.
+* Every kernel refuses (``ConfigError``) to run with a BTB1 search tap
+  (``Btb1.on_search``) attached, which its inline search cannot fire.
 * ``_staging_drain_countdown`` is carried in a local in both flavours
   (no observer reads it) and written back to the predictor after every
   branch (observed) or in ``finally`` (bare), so checkpoints taken at
@@ -57,7 +68,9 @@ import threading
 from string import Template
 from typing import Dict, Optional, Tuple
 
+from repro.common.errors import ConfigError
 from repro.configs.predictor import PredictorConfig
+from repro.core.btb1 import BtbHit
 from repro.core.cpred import (
     POWER_ALL,
     POWER_CTB,
@@ -95,6 +108,15 @@ __all__ = [
 #: drives the specialized kernels generated here.
 ENGINE_MODES = ("reference", "fast")
 
+#: Raised (as a ConfigError) by every kernel entered while a BTB1 search
+#: tap is attached: the kernels read BTB1 rows inline and never call
+#: ``Btb1.search_line``, so the tap would silently see nothing.
+_TAP_MESSAGE = (
+    "Btb1.on_search is attached, but the fast kernels read BTB1 rows "
+    "inline and never fire it; drive this predictor with "
+    "engine_mode='reference'"
+)
+
 
 # ---------------------------------------------------------------------------
 # Shape keying
@@ -112,6 +134,7 @@ def config_shape(config: PredictorConfig) -> Tuple:
         config.btb2 is not None,
         bool(config.skoot_enabled),
         bool(config.speculative.enabled),
+        bool(config.pht.tage),
         config.btb1.line_size,
         config.search_walk_cap,
         config.completion_delay,
@@ -218,10 +241,12 @@ def _render(template: str, flags: Dict[str, bool], subs: Dict[str, str]) -> str:
 
 # --- the shared per-branch core (indent 0 == loop-body level) --------------
 # A transcription of LookaheadBranchPredictor.predict_and_resolve with
-# _walk_to, _predict_dynamic (figure 8 + figure 9 inlined),
-# _predict_surprise, _after_resolution, the GPQ push/completions and
-# _apply_update flattened in.  Every side effect runs in the reference
-# order; the differential battery holds this line by line.
+# _walk_to (Btb1.search_line inlined), _predict_dynamic (figure 8 with
+# TagePht.lookup inlined, figure 9), _predict_surprise,
+# _after_resolution, the GPQ push/completions and _apply_update
+# flattened in.  ``#PROBE <prefix>`` lines take one table's probe
+# (_PROBE).  Every side effect runs in the reference order; the
+# differential battery holds this line by line.
 
 _CORE = """\
 #IF EVENTS
@@ -254,10 +279,10 @@ t_overshoot = False
 t_capped = False
 t_cpred = False
 #IF BTB2
-if drain_cd is None and btb2_staging:
+if drain_cd is None and btb2_staging_items:
     btb2_drain(limit=$DRAIN2)
 #ENDIF
-hit = None
+entry = None
 while True:
 #IF SKOOT
     pending = stream_s.pending_skip
@@ -292,37 +317,66 @@ while True:
         sa = state.search_address
         line_base = sa - sa % $LINE
         min_offset = sa - line_base
-        hits = search_line(line_base, context, min_offset)
+        # --- Btb1.search_line: fold, way-order scan, offset sort -------
+        u_v = line_base >> $LSHIFT
+        u_row = u_v & b1_rowmask
+        $INC_B1S
+        hits = None
+        u_rl = b1_data[u_row]
+        if u_rl is not None:
+            # (a row never written holds nothing: no tag to fold)
+            u_v = (u_v >> b1_rowbits) ^ (context * 0x9E37)
+            u_tag = 0
+            while u_v:
+                u_tag ^= u_v & b1_tagmask
+                u_v >>= b1_tagbits
+            u_w = 0
+            for u_e in u_rl:
+                if u_e is not None and u_e.tag == u_tag and u_e.offset >= min_offset:
+                    if hits is None:
+                        hits = [(u_e.offset, u_w, u_e)]
+                    else:
+                        hits.append((u_e.offset, u_w, u_e))
+                u_w += 1
         t_lines += 1
         stream_s.searches_done += 1
-        if hits:
+        if hits is not None:
+            $INC_B1H
+            if len(hits) > 1:
+                # (offset, way): the stable offset sort of the b3 stage.
+                hits.sort()
+            u_pol = b1_pols[u_row]
+            if u_pol is None:
+                u_pol = b1_pols[u_row] = b1_polf(b1_ways)
+            for u_h in hits:
+                u_pol.touch(u_h[1])
             if line_base == target_line:
-                for candidate in hits:
-                    hit_address = candidate.address
+                for u_off, u_w, u_e in hits:
+                    hit_address = line_base + u_off
                     if hit_address < address:
-                        c_entry = candidate.entry
-                        would_redirect = c_entry.is_unconditional or c_entry.bht.taken
-                        btb1_remove(candidate)
+                        would_redirect = u_e.is_unconditional or u_e.bht.value >= 2
+                        btb1_remove(new_hit(u_row, u_w, u_e, line_base))
                         t_bad += 1
                         if would_redirect:
                             t_badtaken += 1
                     elif hit_address == address:
-                        hit = candidate
+                        entry = u_e
+                        hit_row = u_row
+                        hit_way = u_w
                         break
                     else:
                         break
             else:
-                for candidate in hits:
-                    c_entry = candidate.entry
-                    would_redirect = c_entry.is_unconditional or c_entry.bht.taken
-                    btb1_remove(candidate)
+                for u_off, u_w, u_e in hits:
+                    would_redirect = u_e.is_unconditional or u_e.bht.value >= 2
+                    btb1_remove(new_hit(u_row, u_w, u_e, line_base))
                     t_bad += 1
                     if would_redirect:
                         t_badtaken += 1
         else:
             t_empty += 1
 #IF BTB2
-        if btb2_note(line_base, context, bool(hits)):
+        if btb2_note(line_base, context, hits is not None):
             t_btb2 += 1
             drain_cd = $VIS
         if drain_cd is not None:
@@ -344,9 +398,8 @@ while True:
 #IF ALLOC
 t_stream = stream_s.searches_done
 #ENDIF
-if hit is not None:
+if entry is not None:
     $INC_DYN
-    entry = hit.entry
     gpv_snapshot = gpv._value
     cpred_lookup = stream_s.cpred_lookup
     # --- figure 8 (direction) -----------------------------------------
@@ -378,52 +431,117 @@ if hit is not None:
                 if not d_pht_powered:
                     cpred.power_gated_lookups += 1
             if d_perc_powered:
-                d_perc = perc_lookup(hit.address, gpv)
+                d_perc = perc_lookup(address, gpv)
                 if d_perc.hit and d_perc.useful:
                     d_provider = D_PERC
                     d_taken = d_perc.taken
             else:
                 cpred.power_gate_misses += 1
             if d_pht_powered:
-                tage_lookup = tage_lookup_fn(hit.address, gpv)
-                d_tage = tage_from_lookup(tage_lookup)
-#IF SPEC
-                for pht_hit in (tage_lookup.long_hit, tage_lookup.short_hit):
-                    if pht_hit is None:
-                        continue
-                    spht_entry = spht_entries.get(
-                        ("spht", pht_hit.table, pht_hit.row, pht_hit.tag)
-                    )
-                    if spht_entry is not None:
-                        spht.overrides += 1
-                        override = spht_entry.taken
-                        if d_provider is None:
-                            d_provider = D_SPHT
-                            d_taken = override
-                        elif d_alt_provider is None:
-                            d_alt_provider = D_SPHT
-                            d_alt_taken = override
-                        break
+                # --- TagePht.lookup: probe both tables, then select ----
+                $INC_TLOOK
+                #PROBE ts
+#IF TAGE
+                #PROBE tl
+                if tl_way >= 0:
+                    if not tl_weak:
+                        t_prov = tl_name
+                    elif ts_way >= 0 and not ts_weak:
+                        t_prov = ts_name
+                    elif tg_conf_l.value > tg_thr:
+                        t_prov = tl_name
+                    else:
+                        t_prov = None
+                        $INC_TSUP
+                        if ts_way >= 0 and tg_conf_s.value > tg_thr:
+                            t_prov = ts_name
+                elif ts_way >= 0:
+                    if not ts_weak or tg_conf_s.value > tg_thr:
+                        t_prov = ts_name
+                    else:
+                        t_prov = None
+                        $INC_TSUP
+                else:
+                    t_prov = None
+#ELSE
+                t_prov = ts_name if ts_way >= 0 else None
 #ENDIF
-                tage_provider = tage_lookup.provider
-                if tage_provider is not None:
-                    provider_id = D_PHTL if tage_provider == LONG_T else D_PHTS
+                # --- TageLookupSnapshot.from_lookup ----------------------
+                d_tage = new_tsnap(TageSnapT)
+                d_tage.provider = t_prov
+                if t_prov is None:
+                    d_tage.provider_row = 0
+                    d_tage.provider_way = 0
+                    d_tage.provider_tag = 0
+                    d_tage.provider_taken = None
+                    d_tage.provider_weak = False
+                elif t_prov is ts_name:
+                    $INC_TSEL
+                    d_tage.provider_row = ts_row
+                    d_tage.provider_way = ts_way
+                    d_tage.provider_tag = ts_tag
+                    d_tage.provider_taken = ts_taken
+                    d_tage.provider_weak = ts_weak
+#IF TAGE
+                else:
+                    $INC_TSEL
+                    d_tage.provider_row = tl_row
+                    d_tage.provider_way = tl_way
+                    d_tage.provider_tag = tl_tag
+                    d_tage.provider_taken = tl_taken
+                    d_tage.provider_weak = tl_weak
+#ENDIF
+                u_obs = ((ts_name, ts_taken, ts_weak),) if ts_way >= 0 else ()
+#IF TAGE
+                if tl_way >= 0:
+                    u_obs += ((tl_name, tl_taken, tl_weak),)
+#ENDIF
+                d_tage.weak_observations = u_obs
+#IF SPEC
+                spht_entry = None
+#IF TAGE
+                if tl_way >= 0:
+                    spht_entry = spht_entries.get(("spht", tl_name, tl_row, tl_tag))
+                if spht_entry is None and ts_way >= 0:
+#ELSE
+                if ts_way >= 0:
+#ENDIF
+                    spht_entry = spht_entries.get(("spht", ts_name, ts_row, ts_tag))
+                if spht_entry is not None:
+                    spht.overrides += 1
+                    override = spht_entry.taken
+                    if d_provider is None:
+                        d_provider = D_SPHT
+                        d_taken = override
+                    elif d_alt_provider is None:
+                        d_alt_provider = D_SPHT
+                        d_alt_taken = override
+#ENDIF
+                if t_prov is not None:
+#IF TAGE
+                    provider_id = D_PHTL if t_prov is tl_name else D_PHTS
+#ELSE
+                    provider_id = D_PHTS
+#ENDIF
                     if d_provider is None:
                         d_provider = provider_id
-                        d_taken = tage_lookup.provider_taken
+                        d_taken = d_tage.provider_taken
                     elif d_alt_provider is None:
                         d_alt_provider = provider_id
-                        d_alt_taken = tage_lookup.provider_taken
-                    if tage_provider == LONG_T and tage_lookup.short_hit is not None:
+                        d_alt_taken = d_tage.provider_taken
+#IF TAGE
+                    if t_prov is tl_name and ts_way >= 0:
                         if d_alt_provider is None:
                             d_alt_provider = D_PHTS
-                            d_alt_taken = tage_lookup.short_hit.taken
+                            d_alt_taken = ts_taken
+#ENDIF
             else:
                 cpred.power_gate_misses += 1
-        bht_taken = entry.bht.taken
+        # TwoBitDirectionCounter.taken / .weak read inline
+        bht_taken = entry.bht.value >= 2
 #IF SPEC
         sbht_entry = sbht_entries.get(
-            ("sbht", hit.row, hit.way, entry.tag, entry.offset)
+            ("sbht", hit_row, hit_way, entry.tag, entry.offset)
         )
         if sbht_entry is not None:
             sbht.overrides += 1
@@ -443,9 +561,9 @@ if hit is not None:
             d_alt_taken = bht_taken
 #IF SPEC
         # _install_weak_overlays
-        if d_provider is D_BHT and entry.bht.weak:
+        if d_provider is D_BHT and entry.bht.value not in (0, 3):
             sbht_install(
-                ("sbht", hit.row, hit.way, entry.tag, entry.offset),
+                ("sbht", hit_row, hit_way, entry.tag, entry.offset),
                 d_taken,
                 sequence,
             )
@@ -495,7 +613,7 @@ if hit is not None:
                     if not ctb_powered:
                         cpred.power_gated_lookups += 1
                 if ctb_powered:
-                    ctb_lookup = ctb_lookup_fn(hit.address, context, gpv_snapshot)
+                    ctb_lookup = ctb_lookup_fn(address, context, gpv_snapshot)
                     if ctb_lookup.hit:
                         predicted_target = ctb_lookup.target
                         target_provider = T_CTB
@@ -521,8 +639,8 @@ if hit is not None:
     record.alternate_taken = d_alt_taken
     record.alternate_provider = d_alt_provider
     record.gpv_snapshot = gpv_snapshot
-    record.btb_row = hit.row
-    record.btb_way = hit.way
+    record.btb_row = hit_row
+    record.btb_way = hit_way
     record.btb_tag = entry.tag
     record.btb_offset = entry.offset
     record.bidirectional_at_prediction = entry.bidirectional
@@ -549,7 +667,13 @@ if hit is not None:
         if opener_t is not None:
             s_start = stream_s.start_address
             if address >= s_start:
-                opener_t.train_skoot(address // $LINE - s_start // $LINE, $SKOOTMAX)
+                # BtbEntry.train_skoot: only ever lowers a known SKOOT
+                u_skip = address // $LINE - s_start // $LINE
+                if u_skip > $SKOOTMAX:
+                    u_skip = $SKOOTMAX
+                u_cur = opener_t.skoot
+                if u_cur is None or u_skip < u_cur:
+                    opener_t.skoot = u_skip
 #ENDIF
     if d_taken:
         if crs_on:
@@ -567,7 +691,7 @@ if hit is not None:
         redirect = predicted_target
 #ENDIF
         if cpred_lookup.hit:
-            if cpred_lookup.way == hit.way and cpred_lookup.redirect_address == redirect:
+            if cpred_lookup.way == hit_way and cpred_lookup.redirect_address == redirect:
                 cpred.correct += 1
                 t_cpred = True
             else:
@@ -587,7 +711,7 @@ if hit is not None:
             u_new = new_cpred_entry(CpredEntryT)
             u_new.tag = u_tag
             u_new.searches_to_taken = stream_s.searches_done
-            u_new.way = hit.way
+            u_new.way = hit_way
             u_new.redirect_address = redirect
             u_new.power_mask = stream_s.needed_power_mask
             u_data = cpred_data[u_row]
@@ -639,7 +763,12 @@ else:
             if opener_t is not None:
                 s_start = stream_s.start_address
                 if address >= s_start:
-                    opener_t.train_skoot(address // $LINE - s_start // $LINE, $SKOOTMAX)
+                    u_skip = address // $LINE - s_start // $LINE
+                    if u_skip > $SKOOTMAX:
+                        u_skip = $SKOOTMAX
+                    u_cur = opener_t.skoot
+                    if u_cur is None or u_skip < u_cur:
+                        opener_t.skoot = u_skip
 #ENDIF
     record = new_record(Record)
     record.sequence = sequence
@@ -685,8 +814,10 @@ correct_path = predicted_taken_l == actual_taken and (
     not actual_taken or predicted_target == actual_target
 )
 #IF SPEC
-if hit is not None and predicted_taken_l != actual_taken:
-    install_corrected(record, hit, branch)
+if entry is not None and predicted_taken_l != actual_taken:
+    install_corrected(
+        record, new_hit(hit_row, hit_way, entry, target_line), branch
+    )
 #ENDIF
 if actual_taken:
     u_gc = gpv._hash_cache
@@ -696,7 +827,7 @@ if actual_taken:
             u_gc.clear()
         u_h = u_gc[address] = gpv._hash_fold(address >> 1)
     gpv._value = ((gpv._value << gpv.bits_per_branch) | u_h) & gpv._width_mask
-if hit is not None and correct_path:
+if entry is not None and correct_path:
     if actual_taken:
         state.search_address = actual_target
         begin_stream(P, state, actual_target, context, entry)
@@ -710,7 +841,7 @@ else:
 #ENDIF
     next_address = branch.next_address
     state.search_address = next_address
-    if hit is not None and actual_taken:
+    if entry is not None and actual_taken:
         opener_n = entry
     else:
         opener_n = None
@@ -732,13 +863,13 @@ $SYNC_DRAIN
 #IF FOLD
 # --- RunStats.record inlined over local accumulators -----------------
 s_branches += 1
-if hit is not None:
+if entry is not None:
     s_dyn += 1
 else:
     s_sur += 1
 if actual_taken:
     s_taken += 1
-if hit is not None:
+if entry is not None:
     if predicted_taken_l != actual_taken:
         klass = K_DIRW
     elif actual_taken and predicted_target != actual_target:
@@ -771,7 +902,7 @@ if pstats is None:
 pstats[0] += 1
 if predicted_taken_l == actual_taken:
     pstats[1] += 1
-if hit is not None and predicted_taken_l:
+if entry is not None and predicted_taken_l:
     s_ptd += 1
     if actual_taken:
         tstats = tprov.get(target_provider)
@@ -812,8 +943,9 @@ outcome.trace = trace
 
 # --- _apply_update inlined (spliced at the two completion sites) ----------
 # A transcription of _apply_update -> _update_dynamic / _update_targets
-# (with _refind_entry and _tage_alternate folded in); surprise
-# completions stay a bound-method call — they are rare and allocate.
+# (with _refind_entry, _tage_alternate and TagePht.update folded in);
+# surprise completions stay a bound-method call — they are rare and
+# allocate.
 # ``$REC`` is the record variable at the splice site (forced / due).
 
 _APPLY = """\
@@ -842,7 +974,9 @@ if spht_entries:
         spht.removals += len(u_stale)
 #ENDIF
 if $REC.dynamic:
-    u_entry = btb1_entry_at($REC.btb_row, $REC.btb_way)
+    # _refind_entry (Btb1.entry_at read inline)
+    u_rl = b1_data[$REC.btb_row]
+    u_entry = None if u_rl is None else u_rl[$REC.btb_way]
     if u_entry is not None and (
         u_entry.tag != $REC.btb_tag or u_entry.offset != $REC.btb_offset
     ):
@@ -851,24 +985,67 @@ if $REC.dynamic:
     u_taken = bool(u_ataken)
     u_dirw = $REC.predicted_taken != u_ataken
     if u_entry is not None:
-        u_entry.bht.update(u_taken)
+        # TwoBitDirectionCounter.update
+        u_c = u_entry.bht
+        if u_taken:
+            u_v = u_c.value + 1
+            u_c.value = 3 if u_v > 3 else u_v
+        else:
+            u_v = u_c.value - 1
+            u_c.value = 0 if u_v < 0 else u_v
         if u_dirw and not u_entry.is_unconditional:
             u_entry.bidirectional = True
     u_tage = $REC.tage
     if u_tage is not None:
-        # _tage_alternate: the short table's direction when the long
-        # table provided and a short observation exists, else the
-        # recorded alternate (None when there was no provider).
-        if u_tage.provider is None:
-            u_alt = None
-        else:
+        # TagePht.update: train the provider entry if it is still there
+        # (_TageTable.entry_at read inline), against _tage_alternate:
+        # the short table's direction when the long table provided and
+        # a short observation exists, else the recorded alternate.
+        u_tp = u_tage.provider
+        if u_tp is not None:
             u_alt = $REC.alternate_taken
-            if u_tage.provider == LONG_T:
+#IF TAGE
+            if u_tp == LONG_T:
                 for u_tbl, u_tk, u_wk in u_tage.weak_observations:
                     if u_tbl == SHORT_T:
                         u_alt = u_tk
                         break
-        tage_update(u_tage, u_taken, u_alt)
+                u_rl = tl_data[u_tage.provider_row]
+            else:
+                u_rl = ts_data[u_tage.provider_row]
+#ELSE
+            u_rl = ts_data[u_tage.provider_row]
+#ENDIF
+            u_te = None if u_rl is None else u_rl[u_tage.provider_way]
+            if u_te is not None and u_te.tag == u_tage.provider_tag:
+                u_c = u_te.counter
+                u_v = u_c.value
+                u_pc = (u_v >= tg_mid) == u_taken
+                if u_taken:
+                    u_v += 1
+                    u_c.value = u_c.maximum if u_v > u_c.maximum else u_v
+                else:
+                    u_c.value = 0 if u_v < 1 else u_v - 1
+                if u_alt is not None:
+                    u_ac = u_alt == u_taken
+                    if u_pc and not u_ac:
+                        u_c = u_te.usefulness
+                        u_v = u_c.value + 1
+                        u_c.value = u_c.maximum if u_v > u_c.maximum else u_v
+                    elif not u_pc and u_ac:
+                        u_c = u_te.usefulness
+                        u_v = u_c.value - 1
+                        u_c.value = 0 if u_v < 0 else u_v
+        # weak-confidence bookkeeping for every weak hit at prediction
+        for u_tbl, u_tk, u_wk in u_tage.weak_observations:
+            if u_wk:
+                u_c = tg_conf_s if u_tbl == SHORT_T else tg_conf_l
+                if u_tk == u_taken:
+                    u_v = u_c.value + 1
+                    u_c.value = u_c.maximum if u_v > u_c.maximum else u_v
+                else:
+                    u_v = u_c.value - 1
+                    u_c.value = 0 if u_v < 0 else u_v
     if u_dirw and not (u_entry is not None and u_entry.is_unconditional):
         u_dp = $REC.direction_provider
         if u_dp is D_PHTS:
@@ -944,18 +1121,77 @@ if wq_items:
 """
 
 
-def _splice_apply(core_text: str) -> str:
-    """Replace ``#APPLY <name>`` marker lines with the inlined
-    completion-update template, indented to the marker and with $REC
-    bound to the site's record variable."""
+# --- _TageTable.lookup inlined (spliced once per table) ---------------
+# ``@`` is the table's local prefix at the splice site (``ts`` short,
+# ``tl`` long).  The first matching way in way order hits, as in the
+# method; a row that was never written is a miss and stays unbuilt.
+# The XOR folds run in three shift-XOR steps when the value fits in
+# eight fold-width chunks (the XOR of chunks 0..7 lands in chunk 0:
+# halve the span, fold, repeat), and as the method's chunk loop
+# otherwise; both give the same fold.
+
+_PROBE = """\
+@_way = -1
+u_v = gpv_snapshot & @_hmask
+u_row = 0
+if tg_rowbits:
+    u_x = (address >> 1) ^ (u_v * 0x5BD1) ^ (u_v >> tg_rowbits)
+    if u_x >> tg_rowspan:
+        while u_x:
+            u_row ^= u_x & tg_rowmask
+            u_x >>= tg_rowbits
+    else:
+        u_x ^= u_x >> tg_rowbits4
+        u_x ^= u_x >> tg_rowbits2
+        u_row = (u_x ^ (u_x >> tg_rowbits)) & tg_rowmask
+u_rl = @_data[u_row]
+if u_rl is not None:
+    u_x = (address >> 3) ^ (u_v * 0xC2B2) ^ (address << 2)
+    if u_x >> tg_tagspan:
+        u_tag = 0
+        while u_x:
+            u_tag ^= u_x & tg_tagmask
+            u_x >>= tg_tagbits
+    else:
+        u_x ^= u_x >> tg_tagbits4
+        u_x ^= u_x >> tg_tagbits2
+        u_tag = (u_x ^ (u_x >> tg_tagbits)) & tg_tagmask
+    u_w = 0
+    for u_e in u_rl:
+        if u_e is not None and u_e.tag == u_tag:
+            $INC_THIT
+            u_pol = @_pols[u_row]
+            if u_pol is None:
+                u_pol = @_pols[u_row] = tg_polf(tg_ways)
+            # TrueLru.touch (TAGE tables are always true LRU)
+            u_o = u_pol._order
+            u_o.remove(u_w)
+            u_o.append(u_w)
+            u_v = u_e.counter.value
+            @_way = u_w
+            @_row = u_row
+            @_tag = u_tag
+            @_taken = u_v >= tg_mid
+            @_weak = u_v == tg_mid or u_v == tg_mid - 1
+            break
+        u_w += 1
+"""
+
+
+def _splice(text: str, marker: str, body: str, placeholder: str) -> str:
+    """Replace ``<marker> <name>`` lines with *body*, indented to the
+    marker and with *placeholder* bound to the site's name (the record
+    variable of an ``#APPLY`` site, the table prefix of a ``#PROBE``
+    site)."""
     out = []
-    for line in core_text.splitlines():
+    for line in text.splitlines():
         stripped = line.strip()
-        if stripped.startswith("#APPLY "):
-            name = stripped[7:].strip()
+        if stripped.startswith(marker + " "):
+            name = stripped[len(marker) + 1:].strip()
             indent = line[: len(line) - len(line.lstrip())]
-            body = _APPLY.replace("$REC", name)
-            out.append(textwrap.indent(body, indent).rstrip("\n"))
+            out.append(
+                textwrap.indent(body.replace(placeholder, name), indent).rstrip("\n")
+            )
         else:
             out.append(line)
     return "\n".join(out) + "\n"
@@ -965,27 +1201,71 @@ _HOISTS = """\
 tstates = P._threads
 mk_state = P._thread_state
 btb1 = P.btb1
-search_line = btb1.search_line
+if btb1.on_search is not None:
+    raise _TapError(_TAP_MESSAGE)
 btb1_remove = btb1.remove
 btb1_install = btb1.install
-btb1_entry_at = btb1.entry_at
-tage_update = P.tage.update
-tage_install_mis = P.tage.install_on_mispredict
+b1_table = btb1._table
+b1_data = b1_table._data
+b1_pols = b1_table._policies
+b1_polf = b1_table._policy_factory
+b1_ways = b1_table.ways
+b1_rowmask = btb1._row_mask
+b1_rowbits = btb1._row_bits
+b1_tagmask = btb1._tag_fold_mask
+b1_tagbits = btb1._tag_bits
+new_hit = _BtbHit
+LONG_T = _LONG
+SHORT_T = _SHORT
+tage = P.tage
+tage_install_mis = tage.install_on_mispredict
+ts_tbl = tage.short_table
+# The tables' own name objects, which the methods store in lookups,
+# snapshots and SPHT keys: a restored predictor's names are not the
+# module constants, and a pickle tells the two apart.
+ts_name = ts_tbl.name
+ts_data = ts_tbl._table._data
+ts_pols = ts_tbl._table._policies
+ts_hmask = ts_tbl._history_mask
+#IF TAGE
+tl_tbl = tage.long_table
+tl_name = tl_tbl.name
+tl_data = tl_tbl._table._data
+tl_pols = tl_tbl._table._policies
+tl_hmask = tl_tbl._history_mask
+#ENDIF
+# Both tables are built from one PhtConfig: one geometry, one fold.
+tg_polf = ts_tbl._table._policy_factory
+tg_ways = ts_tbl._table.ways
+tg_rowbits = ts_tbl._row_bits
+tg_rowmask = ts_tbl._row_fold_mask
+tg_tagbits = ts_tbl._tag_bits
+tg_tagmask = ts_tbl._tag_fold_mask
+tg_rowbits2 = 2 * tg_rowbits
+tg_rowbits4 = 4 * tg_rowbits
+tg_rowspan = 8 * tg_rowbits
+tg_tagbits2 = 2 * tg_tagbits
+tg_tagbits4 = 4 * tg_tagbits
+tg_tagspan = 8 * tg_tagbits
+tg_mid = (1 << tage.config.counter_bits) // 2
+tg_thr = tage.config.weak_threshold
+tg_conf_s = tage._weak_confidence[SHORT_T]
+tg_conf_l = tage._weak_confidence[LONG_T]
+TageSnapT = TageLookupSnapshot
+new_tsnap = _new_tage_snapshot
 perc_install = P.perceptron.install
 perc_update = P.perceptron.update
 ctb_install = P.ctb.install
 ctb_correct = P.ctb.correct_target
 #IF BTB2
 btb2 = P.btb2
-btb2_staging = btb2.staging
+btb2_staging_items = btb2.staging._items
 btb2_drain = btb2.drain_staging
 btb2_note = btb2.note_search_outcome
 btb2_reset = btb2.reset_empty_counter
 btb2_surprise = btb2.note_surprise_branch
 btb2_evict = btb2.handle_btb1_eviction
 #ENDIF
-tage_lookup_fn = P.tage.lookup
-tage_from_lookup = TageLookupSnapshot.from_lookup
 perc_lookup = P.perceptron.lookup
 #IF SPEC
 sbht = P.sbht
@@ -1065,8 +1345,6 @@ K_SURT = _K_SURT
 K_SGTR = _K_SGTR
 K_SGTI = _K_SGTI
 K_SGW = _K_SGW
-LONG_T = _LONG
-SHORT_T = _SHORT
 drain_cd = P._staging_drain_countdown
 cur_thread = None
 state = None
@@ -1099,11 +1377,37 @@ s_cpredacc = 0
 """
 
 
+_BARE_COUNTERS = """\
+n_pred = 0
+n_dyn = 0
+n_sur = 0
+n_rst = 0
+n_b1s = 0
+n_b1h = 0
+n_tlook = 0
+n_tsel = 0
+n_tsup = 0
+ts_hits = 0
+#IF TAGE
+tl_hits = 0
+#ENDIF
+"""
+
+
 _PREDICTOR_FLUSH = """\
 P.predictions += n_pred
 P.dynamic_predictions += n_dyn
 P.surprise_branches += n_sur
 P.restarts += n_rst
+btb1.searches += n_b1s
+btb1.hit_searches += n_b1h
+tage.lookups += n_tlook
+tage.provider_selections += n_tsel
+tage.weak_filter_suppressions += n_tsup
+ts_tbl.hits += ts_hits
+#IF TAGE
+tl_tbl.hits += tl_hits
+#ENDIF
 P._staging_drain_countdown = drain_cd
 """
 
@@ -1208,11 +1512,20 @@ def _begin_stream(P, state, start, context, opener):
 """
 
 
+# Counters: locals flushed in ``finally`` on bare kernels, attribute
+# updates on observed ones (telemetry harvests them mid-run).  ``@`` in
+# INC_THIT is the probed table's prefix (see _PROBE).
 _BARE_SUBS = {
     "INC_PRED": "n_pred += 1",
     "INC_DYN": "n_dyn += 1",
     "INC_SUR": "n_sur += 1",
     "INC_RST": "n_rst += 1",
+    "INC_B1S": "n_b1s += 1",
+    "INC_B1H": "n_b1h += 1",
+    "INC_TLOOK": "n_tlook += 1",
+    "INC_TSEL": "n_tsel += 1",
+    "INC_TSUP": "n_tsup += 1",
+    "INC_THIT": "@_hits += 1",
     "SYNC_DRAIN": "pass",
 }
 
@@ -1221,6 +1534,12 @@ _OBSERVED_SUBS = {
     "INC_DYN": "P.dynamic_predictions += 1",
     "INC_SUR": "P.surprise_branches += 1",
     "INC_RST": "P.restarts += 1",
+    "INC_B1S": "btb1.searches += 1",
+    "INC_B1H": "btb1.hit_searches += 1",
+    "INC_TLOOK": "tage.lookups += 1",
+    "INC_TSEL": "tage.provider_selections += 1",
+    "INC_TSUP": "tage.weak_filter_suppressions += 1",
+    "INC_THIT": "@_tbl.hits += 1",
     "SYNC_DRAIN": "P._staging_drain_countdown = drain_cd",
 }
 
@@ -1236,6 +1555,7 @@ def generate_kernel_source(shape: Tuple) -> str:
         has_btb2,
         skoot_enabled,
         spec_enabled,
+        two_tables,
         line_size,
         walk_cap,
         completion_delay,
@@ -1248,9 +1568,11 @@ def generate_kernel_source(shape: Tuple) -> str:
         "BTB2": has_btb2,
         "SKOOT": skoot_enabled,
         "SPEC": spec_enabled,
+        "TAGE": two_tables,
     }
     subs_base = {
         "LINE": str(line_size),
+        "LSHIFT": str(line_size.bit_length() - 1),
         "CAP": str(walk_cap),
         "CAPBYTES": str(walk_cap * line_size),
         "CDELAY": str(completion_delay),
@@ -1270,9 +1592,12 @@ def generate_kernel_source(shape: Tuple) -> str:
         flags.update(extra_flags)
         merged = dict(subs_base)
         merged.update(subs)
-        return _render(_splice_apply(_CORE), flags, merged)
+        text = _render(_splice(_CORE, "#APPLY", _APPLY, "$REC"), flags, merged)
+        return _splice(text, "#PROBE", _render(_PROBE, flags, merged), "@")
 
     hoists = _render(_HOISTS, shape_flags, {})
+    bare_counters = _render(_BARE_COUNTERS, shape_flags, {})
+    predictor_flush = _render(_PREDICTOR_FLUSH, shape_flags, {})
     begin_stream = _render(
         _BEGIN_STREAM, shape_flags, {"PALL": str(POWER_ALL)}
     )
@@ -1286,8 +1611,6 @@ def generate_kernel_source(shape: Tuple) -> str:
         begin_stream,
     ]
 
-    bare_counters = "n_pred = 0\nn_dyn = 0\nn_sur = 0\nn_rst = 0\n"
-
     # -- counted_bare ----------------------------------------------------
     parts.append(
         "def counted_bare(P, stream, stats):\n"
@@ -1298,7 +1621,7 @@ def generate_kernel_source(shape: Tuple) -> str:
         + "        for branch in stream:\n"
         + _indent(core({"FOLD": True}, _BARE_SUBS), 12)
         + "    finally:\n"
-        + _indent(_PREDICTOR_FLUSH, 8)
+        + _indent(predictor_flush, 8)
         + _indent(_STATS_FLUSH, 8)
         + "    return s_branches\n"
     )
@@ -1336,7 +1659,7 @@ def generate_kernel_source(shape: Tuple) -> str:
         + "            if consumed == warmup_branches:\n"
         + "                break\n"
         + "    finally:\n"
-        + _indent(_PREDICTOR_FLUSH, 8)
+        + _indent(predictor_flush, 8)
         + "    return consumed\n"
     )
 
@@ -1367,7 +1690,7 @@ def generate_kernel_source(shape: Tuple) -> str:
         + "        for branch in stream:\n"
         + _indent(core({"FOLD": True, "EVENTS": True}, _BARE_SUBS), 12)
         + "    finally:\n"
-        + _indent(_PREDICTOR_FLUSH, 8)
+        + _indent(predictor_flush, 8)
         + _indent(_STATS_FLUSH, 8)
         + "    return s_branches\n"
     )
@@ -1416,6 +1739,10 @@ def _compile_shape(shape: Tuple) -> SpecializedKernels:
         "PredictionOutcome": PredictionOutcome,
         "_new_outcome": PredictionOutcome.__new__,
         "TageLookupSnapshot": TageLookupSnapshot,
+        "_new_tage_snapshot": TageLookupSnapshot.__new__,
+        "_BtbHit": BtbHit,
+        "_TapError": ConfigError,
+        "_TAP_MESSAGE": _TAP_MESSAGE,
         "ContextSwitch": ContextSwitch,
         "_static_guess_taken": static_guess_taken,
         "_static_target_known": static_target_known,

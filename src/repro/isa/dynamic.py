@@ -83,3 +83,53 @@ class DynamicBranch:
         set_attr(
             self, "next_address", target if self.taken else next_sequential
         )
+
+
+# Slot-descriptor setters: a frozen dataclass blocks ``setattr``, but
+# its slot descriptors still store values directly.
+(
+    _set_sequence, _set_instruction, _set_taken, _set_target, _set_thread,
+    _set_context, _set_address, _set_kind, _set_next_sequential,
+    _set_next_address,
+) = (
+    getattr(DynamicBranch, name).__set__
+    for name in (
+        "sequence", "instruction", "taken", "target", "thread", "context",
+        "address", "kind", "next_sequential", "next_address",
+    )
+)
+_new_branch = object.__new__
+
+
+def resolved_branch(
+    sequence: int,
+    instruction: Instruction,
+    taken: bool,
+    target: Optional[int],
+    thread: int = 0,
+    context: int = 0,
+) -> DynamicBranch:
+    """Build a :class:`DynamicBranch` whose outcome the caller has
+    already checked: a branch instruction, a target exactly when taken.
+
+    The record equals (and hashes, pickles and compares as) the one the
+    validating constructor builds, at half the cost: the executor builds
+    one per executed branch, and the constructor's ten
+    ``object.__setattr__`` calls and second validation doubled that.
+    Input from outside the process (trace files, the serve wire format)
+    keeps the validating constructor.
+    """
+    branch = _new_branch(DynamicBranch)
+    _set_sequence(branch, sequence)
+    _set_instruction(branch, instruction)
+    _set_taken(branch, taken)
+    _set_target(branch, target)
+    _set_thread(branch, thread)
+    _set_context(branch, context)
+    address = instruction.address
+    next_sequential = address + instruction.length
+    _set_address(branch, address)
+    _set_kind(branch, instruction.kind)
+    _set_next_sequential(branch, next_sequential)
+    _set_next_address(branch, target if taken else next_sequential)
+    return branch

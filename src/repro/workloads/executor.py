@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
-from repro.isa.dynamic import DynamicBranch
+from repro.isa.dynamic import DynamicBranch, resolved_branch
 from repro.isa.instructions import BranchKind
 from repro.workloads.behaviors import ExecutionContext
 from repro.workloads.program import Program
@@ -116,15 +116,12 @@ class Executor:
             self.pc = target
         else:
             target = None
-            self.pc = instruction.next_sequential
+            self.pc = instruction.address + instruction.length
         self.exec_context.record_outcome(taken)
-        branch = DynamicBranch(
-            sequence=self._sequence,
-            instruction=instruction,
-            taken=taken,
-            target=target,
-            thread=self.thread,
-            context=self.context_id,
+        # The checks above are the constructor's: build without them.
+        branch = resolved_branch(
+            self._sequence, instruction, taken, target, self.thread,
+            self.context_id,
         )
         self._sequence += 1
         self.branches_executed += 1

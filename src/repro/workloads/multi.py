@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Union
 
-from repro.isa.dynamic import DynamicBranch
+from repro.isa.dynamic import DynamicBranch, resolved_branch
 from repro.workloads.executor import Executor
 from repro.workloads.program import Program
 
@@ -76,13 +76,9 @@ class Smt2Run:
                 branch = executor.step()
                 if branch is None:
                     continue
-                branch = DynamicBranch(
-                    sequence=self._sequence,
-                    instruction=branch.instruction,
-                    taken=branch.taken,
-                    target=branch.target,
-                    thread=branch.thread,
-                    context=branch.context,
+                branch = resolved_branch(
+                    self._sequence, branch.instruction, branch.taken,
+                    branch.target, branch.thread, branch.context,
                 )
                 self._sequence += 1
                 emitted += 1
@@ -148,13 +144,9 @@ class InterleavedRun:
                 if branch is None:
                     continue
                 # Re-sequence globally.
-                branch = DynamicBranch(
-                    sequence=self._sequence,
-                    instruction=branch.instruction,
-                    taken=branch.taken,
-                    target=branch.target,
-                    thread=branch.thread,
-                    context=branch.context,
+                branch = resolved_branch(
+                    self._sequence, branch.instruction, branch.taken,
+                    branch.target, branch.thread, branch.context,
                 )
                 self._sequence += 1
                 emitted += 1

@@ -16,11 +16,18 @@ pattern positions), so every run here builds its workload fresh; a
 shared Program diverges even reference-vs-reference.
 """
 
+import pickle
+
 import pytest
 
 from repro.configs import GENERATIONS, z15_config
 from repro.core.entries import BtbEntry
-from repro.engine import CycleEngine, FunctionalEngine, create_predictor
+from repro.engine import (
+    ENGINE_MODES,
+    CycleEngine,
+    FunctionalEngine,
+    create_predictor,
+)
 from repro.isa.instructions import BranchKind
 from repro.obs import TelemetrySession
 from repro.resilience import FaultInjector, FaultPlan
@@ -73,6 +80,25 @@ def _run_mode(mode, backend="object", workload="transactions",
 # ----------------------------------------------------------------------
 # The matrix: workloads × backends × generations
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize("workload",
+                         ["transactions", "footprint-medium", "dispatch"])
+def test_reads_build_no_state(backend, workload):
+    """The kernels read BTB1 and TAGE rows inline; a read must leave
+    nothing behind that the reference path does not.  A lazily built
+    row or replacement policy is state too, so after the same stream
+    the two predictors must pickle to the same bytes."""
+    blobs = []
+    for mode in ENGINE_MODES:
+        predictor = create_predictor(z15_config(), backend)
+        FunctionalEngine(predictor, engine_mode=mode).run_program(
+            get_workload(workload, 3), max_branches=3000,
+            warmup_branches=500, seed=3,
+        )
+        blobs.append(pickle.dumps(predictor))
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize("workload", sorted(STANDARD_WORKLOADS))

@@ -11,8 +11,10 @@ unknown modes are rejected loudly).
 import pytest
 
 from repro.baselines import BimodalPredictor
+from repro.common.errors import ConfigError
 from repro.configs import GENERATIONS, z15_config
 from repro.core.predictor import LookaheadBranchPredictor
+from repro.engine import CycleEngine, FunctionalEngine
 from repro.engine.specialize import (
     ENGINE_MODES,
     SpecializedKernels,
@@ -23,6 +25,7 @@ from repro.engine.specialize import (
     kernels_for,
     kernels_for_config,
 )
+from repro.workloads import get_workload
 from tests.conftest import small_predictor_config
 
 KERNEL_NAMES = (
@@ -54,7 +57,8 @@ def test_generated_source_has_no_unexpanded_markers():
     means a template branch silently shipped as a comment."""
     for config in (z15_config(), small_predictor_config()):
         source = generate_kernel_source(config_shape(config))
-        for marker in ("#IF", "#ELSE", "#ENDIF", "#APPLY", "$"):
+        for marker in ("#IF", "#ELSE", "#ENDIF", "#APPLY", "#PROBE", "$",
+                       "@"):
             assert marker not in source, f"unexpanded {marker!r} in source"
 
 
@@ -91,3 +95,43 @@ def test_fast_mode_falls_back_for_baselines():
 
 def test_engine_modes_tuple_is_the_public_axis():
     assert ENGINE_MODES == ("reference", "fast")
+
+
+def test_config_shape_keys_the_tage_table_count():
+    """zEC12-z14 run one tagged PHT, z15 two: the probe code differs."""
+    one_table = config_shape(GENERATIONS["z14"][0]())
+    two_tables = config_shape(z15_config())
+    assert one_table[3] is False and two_tables[3] is True
+
+
+@pytest.mark.parametrize("drive", ["functional", "cycle"])
+def test_fast_drive_refuses_an_attached_btb1_search_tap(drive):
+    """The kernels read BTB1 rows inline and never call
+    ``Btb1.search_line``, so a search tap would see nothing: a fast
+    drive with one attached raises a one-line ConfigError before it
+    predicts anything, and the reference pipeline still fires it."""
+    searches = []
+
+    def tap(**event):
+        searches.append(event["line_base"])
+
+    def run(mode):
+        predictor = LookaheadBranchPredictor(z15_config())
+        predictor.btb1.on_search = tap
+        if drive == "cycle":
+            engine = CycleEngine(predictor, engine_mode=mode)
+            return predictor, lambda: engine.run_program(
+                get_workload("patterned", 1), max_branches=200)
+        engine = FunctionalEngine(predictor, engine_mode=mode)
+        return predictor, lambda: engine.run_program(
+            get_workload("patterned", 1), max_branches=200,
+            warmup_branches=100)
+
+    predictor, go = run("fast")
+    with pytest.raises(ConfigError, match="on_search") as caught:
+        go()
+    assert "\n" not in str(caught.value)
+    assert predictor.predictions == 0 and not searches
+    _predictor, go = run("reference")
+    go()
+    assert searches

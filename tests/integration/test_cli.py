@@ -109,12 +109,32 @@ def test_cycles_rejects_baseline(capsys):
     (["--no-prefetch"], "--no-prefetch requires --engine cycle"),
     (["--engine", "cycle", "--warmup", "100"], "no warmup phase"),
     (["--every", "4"], "--every requires --trace-out"),
-], ids=["smt2", "no-prefetch", "cycle-warmup", "every"])
+    (["--interval", "5"], "--interval requires --telemetry"),
+    (["--profile-top", "5"], "--profile-top requires --profile"),
+], ids=["smt2", "no-prefetch", "cycle-warmup", "every", "interval",
+        "profile-top"])
 def test_run_rejects_a_flag_it_would_ignore(flags, message):
     with pytest.raises(SystemExit) as caught:
         main(["run", "patterned", "--branches", "200", *flags])
     assert message in caught.value.code
     assert "\n" not in caught.value.code
+
+
+def test_sweep_rejects_profile_top_without_profile():
+    with pytest.raises(SystemExit) as caught:
+        main(["sweep", "--configs", "z15", "--workloads", "patterned",
+              "--branches", "200", "--warmup", "0", "--profile-top", "5"])
+    assert caught.value.code == "--profile-top requires --profile"
+
+
+def test_run_interval_with_telemetry_sets_the_sampling_window(
+        capsys, tmp_path):
+    import json
+
+    path = str(tmp_path / "stats.json")
+    run_cli(capsys, "run", "patterned", "--branches", "1000", "--warmup",
+            "0", "--telemetry", "--interval", "250", "--stats-json", path)
+    assert len(json.load(open(path))["samples"]) == 4
 
 
 def test_run_cycle_engine_stats_json(capsys, tmp_path):
@@ -158,9 +178,9 @@ DEFAULTS = {
         "workload": "transactions", "predictor": "z15", "backend": "object",
         "engine": "functional", "branches": 30_000, "warmup": None,
         "seed": 1, "smt2": False, "no_prefetch": False,
-        "hot_branches": False, "profile": False, "profile_top": 15,
+        "hot_branches": False, "profile": False, "profile_top": None,
         "telemetry": False, "trace_out": None, "every": 1,
-        "validate": False, "interval": 2_000, "stats_json": None,
+        "validate": False, "interval": None, "stats_json": None,
         "metrics_out": None, "spans_out": None, "save_state": None,
         "load_state": None,
     },
@@ -169,7 +189,7 @@ DEFAULTS = {
         "workloads": ["compute-kernel", "transactions"], "seeds": [1],
         "backend": "object", "branches": 6_000,
         "warmup": 2_000, "workers": 1, "chunk_size": 1, "profile": False,
-        "profile_top": 15, "telemetry": False, "telemetry_json": None,
+        "profile_top": None, "telemetry": False, "telemetry_json": None,
         "cell_timeout": None, "cell_retries": 1, "stream_out": None,
         "resume": None, "strict": False, "metrics_out": None,
         "spans_out": None,
@@ -350,6 +370,35 @@ def test_faults_stats_json(capsys, tmp_path):
     assert payload["counters"]["branches_seen"] == 1000
     assert payload["mpki_delta"] == (payload["faulted"]["mpki"]
                                      - payload["baseline"]["mpki"])
+    manifest = payload["manifest"]
+    assert manifest["schema"] == "repro-manifest/v1"
+    assert manifest["kind"] == "faults"
+    assert manifest["config"]["name"] == "z15"
+    assert manifest["engine_mode"] == "fast"
+    assert (manifest["workload"], manifest["branches"]) == (
+        "compute-kernel", 1000)
+    assert manifest["fault_plan"] == {"seed": 7, "rate": 0.05,
+                                      "kinds": ["btb1", "tage"],
+                                      "parity": False}
+    assert manifest["timings"]["wall_seconds"] > 0
+
+
+def test_serve_chaos_json_embeds_manifest(capsys, tmp_path):
+    import json
+
+    path = str(tmp_path / "chaos.json")
+    run_cli(capsys, "serve-chaos", "baseline", "--seed", "7", "--tenants",
+            "2", "--branches", "80", "--spool", str(tmp_path / "spool"),
+            "--json", path)
+    payload = json.load(open(path))
+    assert payload["schema"] == "repro-chaos/v1"
+    manifest = payload["manifest"]
+    assert manifest["schema"] == "repro-manifest/v1"
+    assert manifest["kind"] == "chaos"
+    assert (manifest["seed"], manifest["branches"]) == (7, 80)
+    assert manifest["scenarios"] == ["baseline"]
+    assert manifest["tenants"] == 2
+    assert manifest["timings"]["wall_seconds"] > 0
 
 
 def test_sweep_surfaces_cell_errors_instead_of_aborting(capsys, monkeypatch):
