@@ -10,8 +10,10 @@ Uses real pytest-benchmark rounds like `bench_simulator_throughput`.
 """
 
 import itertools
+import time
 
 import pytest
+from common import print_table
 
 from repro.configs import z15_config
 from repro.engine import FunctionalEngine, create_predictor
@@ -102,17 +104,44 @@ def test_telemetry_off_is_identity(workload):
         )
 
 
+#: The trace sink (one JSON line per branch, flushed) may at most
+#: double a telemetry run on the same runner.  Seven runs of this gate
+#: on a shared 2-vCPU host read 1.24-1.43x.  A sink made three times as
+#: slow (4.7K traced branches/s) fails it; the absolute floor of 1,000
+#: branches/s it replaces passed runs up to about 15 times slower than
+#: today's.
+TRACE_SINK_CEILING = 2.0
+TRACE_SINK_ROUNDS = 3
+
+
+def _best_seconds_with_and_without_sink(path) -> dict:
+    """Best-of-N wall time of a telemetry run with the trace sink
+    (``"trace"``) and without it (``"telemetry"``), alternating inside
+    each round and swapping order every other round, so host drift
+    lands on both arms."""
+    arms = ("telemetry", "trace")
+    best = {arm: float("inf") for arm in arms}
+    for repeat in range(TRACE_SINK_ROUNDS):
+        for arm in arms if repeat % 2 == 0 else arms[::-1]:
+            start = time.perf_counter()
+            stats = _run_instrumented(
+                "transactions", path if arm == "trace" else None)
+            best[arm] = min(best[arm], time.perf_counter() - start)
+            assert stats.branches == BRANCHES
+    return best
+
+
 def test_trace_sink_overhead(benchmark, tmp_path):
     path = str(tmp_path / "bench.jsonl")
-    stats = benchmark.pedantic(
-        _run_instrumented, args=("transactions", path), rounds=3,
-        iterations=1, warmup_rounds=1,
+    _run_instrumented("transactions", path)  # warm-up, outside the timing
+    best = benchmark.pedantic(_best_seconds_with_and_without_sink,
+                              args=(path,), rounds=1, iterations=1)
+    ratio = best["trace"] / best["telemetry"]
+    print_table(
+        f"X7 trace sink: telemetry + trace / telemetry = {ratio:.2f}x "
+        f"(ceiling {TRACE_SINK_CEILING}x)",
+        ["arm", f"best of {TRACE_SINK_ROUNDS} s", "branches/s"],
+        [[arm, f"{best[arm]:.4f}", f"{BRANCHES / best[arm]:,.0f}"]
+         for arm in best],
     )
-    seconds = benchmark.stats.stats.mean
-    branches_per_second = BRANCHES / seconds
-    print(f"\ntransactions (telemetry + trace): "
-          f"{branches_per_second:,.0f} branches/second")
-    # One json.dumps + write per branch dominates; the floor only
-    # catches order-of-magnitude regressions in the sink.
-    assert branches_per_second > 1000
-    assert stats.branches == BRANCHES
+    assert ratio <= TRACE_SINK_CEILING

@@ -5,12 +5,10 @@ rest of :mod:`repro` so that any other subpackage may import it.
 """
 
 from repro.common.atomic import (
-    append_line,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     discard_stale_temps,
-    durable_flush,
     fsync_directory,
 )
 from repro.common.addresses import (
@@ -35,21 +33,20 @@ from repro.common.errors import (
     TraceFormatError,
     VerificationError,
 )
-from repro.common.jsonl import format_location, iter_jsonl
+from repro.common.jsonl import JsonlWriter, format_location, iter_jsonl
 from repro.common.rng import DeterministicRng
 from repro.common.signals import GracefulShutdown, exit_code_for
 
 __all__ = [
-    "append_line",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "discard_stale_temps",
-    "durable_flush",
     "exit_code_for",
     "format_location",
     "fsync_directory",
     "iter_jsonl",
+    "JsonlWriter",
     "GracefulShutdown",
     "HALFWORD",
     "LINE_SIZE",

@@ -1,4 +1,4 @@
-"""Crash-consistent file writing: the one place durability lives.
+"""Crash-consistent file writing: whole-file documents.
 
 The z15 predictor survives array corruption because every entry is
 parity-protected and recovery is invalidate-and-relearn (§VI); the
@@ -17,13 +17,11 @@ Two disciplines cover every artifact we write:
   harvested by :func:`discard_stale_temps`.
 
 * **Append-only JSONL streams** (sweep checkpoints, traces, spans,
-  bench history, serve journals): rewriting the whole file per row
-  would defeat their purpose, so their contract is *bounded tearing*:
-  each row is flushed (and, where durability matters more than
-  throughput, fsynced via :func:`durable_flush`) as one line, and a
-  kill mid-append tears at most the final line, which the matching
-  loader detects and drops.  :func:`append_line` packages that
-  discipline.
+  bench history, serve journals and events) live in
+  :mod:`repro.common.jsonl`: rewriting the whole file per row would
+  defeat their purpose, so their contract is *bounded tearing* instead,
+  kept by its one writer.  The journal's compaction still replaces the
+  whole file through :func:`atomic_write_bytes`.
 
 Everything here is dependency-free (``repro.common`` policy) and safe
 on any POSIX filesystem; on platforms without ``os.fsync`` on
@@ -37,16 +35,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Tuple, Union
+from typing import Tuple, Union
 
 __all__ = [
-    "append_line",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "commit_temp",
     "discard_stale_temps",
-    "durable_flush",
     "fsync_directory",
     "temp_sibling",
 ]
@@ -71,17 +67,6 @@ def fsync_directory(path: Union[str, Path]) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def durable_flush(stream: IO) -> None:
-    """Flush *stream* through the OS to the device (flush + fsync).
-
-    The append-only writers call this after rows whose loss would be
-    unrecoverable (checkpoint rows, journal entries); a later kill can
-    then tear at most the *next*, unwritten line.
-    """
-    stream.flush()
-    os.fsync(stream.fileno())
 
 
 def temp_sibling(path: Union[str, Path]) -> Tuple[int, str]:
@@ -149,19 +134,6 @@ def atomic_write_json(path: Union[str, Path], payload, *,
     if trailing_newline:
         text += "\n"
     return atomic_write_text(path, text)
-
-
-def append_line(stream: IO[str], line: str, *, fsync: bool = False) -> None:
-    """Append one JSONL row (without trailing newline) to an open
-    stream under the bounded-tearing contract: the row plus newline is
-    written in one call and flushed, optionally through to the device.
-    """
-    stream.write(line)
-    stream.write("\n")
-    if fsync:
-        durable_flush(stream)
-    else:
-        stream.flush()
 
 
 def discard_stale_temps(directory: Union[str, Path]) -> int:

@@ -35,7 +35,6 @@ from repro.engine.specialize import (
 )
 from repro.engine.stream import (
     RestoredStats,
-    SweepStreamWriter,
     load_stream,
     restore_completed,
     result_to_row,
@@ -61,7 +60,6 @@ __all__ = [
     "run_cells",
     "stream_cells",
     "RestoredStats",
-    "SweepStreamWriter",
     "load_stream",
     "restore_completed",
     "result_to_row",

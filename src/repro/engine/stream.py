@@ -13,8 +13,9 @@ around that contract:
   ``comparable_stats`` dict the fingerprint hashes) plus the derived
   headline metrics; a restored row exposes them through a read-only
   :class:`RestoredStats` view.
-* :class:`SweepStreamWriter` — append-one-line-per-row JSONL writer,
-  flushed per row so a killed process loses at most the torn tail line.
+* :func:`open_stream` — the stream's writer: the shared
+  :class:`~repro.common.jsonl.JsonlWriter`, one fsynced line per row,
+  so a killed process loses at most the torn tail line.
 * :func:`load_stream` — re-reads a stream, tolerating exactly that torn
   tail (a partial final line is dropped; corruption anywhere else
   raises :class:`~repro.common.errors.SweepStreamError`).
@@ -35,11 +36,10 @@ Schema: ``repro-sweep-stream/v1``.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.common.atomic import append_line
 from repro.common.errors import SweepStreamError
+from repro.common.jsonl import JsonlWriter, format_location, iter_jsonl
 from repro.engine.parallel import (
     CellError,
     PayloadRegistry,
@@ -222,48 +222,21 @@ def row_to_result(row: Mapping) -> Union[SweepResult, CellError]:
     return result
 
 
-class SweepStreamWriter:
-    """Append sweep rows to a JSONL file, one flushed line per row.
-
-    Flushing per row bounds the damage of a killed sweep to the torn
-    final line, which :func:`load_stream` drops on reload.
+def open_stream(path: str, manifest: Optional[dict] = None) -> JsonlWriter:
+    """A writer for a new checkpoint stream at *path*: one fsynced line
+    per row, so a killed sweep loses at most the torn final line, which
+    :func:`load_stream` drops on reload.
 
     Pass a run *manifest* (:func:`repro.obs.manifest.build_manifest`)
-    to embed it as the stream's first line; :func:`load_stream` skips
-    it (so result-row consumers are unaffected) and
-    :func:`load_stream_manifest` retrieves it.
+    to validate it and embed it as the stream's first line;
+    :func:`load_stream` skips it (so result-row consumers are
+    unaffected) and :func:`load_stream_manifest` retrieves it.
     """
+    if manifest is not None:
+        from repro.obs.manifest import validate_manifest
 
-    def __init__(self, path: str, manifest: Optional[dict] = None,
-                 fsync: bool = True) -> None:
-        self.path = path
-        self._stream = open(path, "w")
-        #: Checkpoint rows exist to survive a kill, so each one is
-        #: fsynced through to the device by default (rows are per sweep
-        #: cell — far off the simulation hot path).
-        self.fsync = fsync
-        self.rows_written = 0
-        if manifest is not None:
-            from repro.obs.manifest import validate_manifest
-
-            validate_manifest(manifest)
-            append_line(self._stream, json.dumps(manifest, sort_keys=True),
-                        fsync=self.fsync)
-
-    def write(self, row: Mapping) -> None:
-        append_line(self._stream, json.dumps(row, sort_keys=True),
-                    fsync=self.fsync)
-        self.rows_written += 1
-
-    def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
-
-    def __enter__(self) -> "SweepStreamWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        validate_manifest(manifest)
+    return JsonlWriter(path, header=manifest, fsync=True)
 
 
 def load_stream(path: str, strict: bool = False) -> List[dict]:
@@ -278,7 +251,6 @@ def load_stream(path: str, strict: bool = False) -> List[dict]:
     malformed line anywhere else, or a row of the wrong schema, raises
     :class:`SweepStreamError` naming the line number and byte offset.
     """
-    from repro.common.jsonl import format_location, iter_jsonl
     from repro.obs.manifest import is_manifest
 
     rows: List[dict] = []
@@ -300,15 +272,9 @@ def load_stream_manifest(path: str) -> Optional[dict]:
     streams written without one (pre-manifest files stay loadable)."""
     from repro.obs.manifest import is_manifest
 
-    with open(path) as stream:
-        first = stream.readline().strip()
-    if not first:
-        return None
-    try:
-        row = json.loads(first)
-    except json.JSONDecodeError:
-        return None  # torn single-line file
-    return row if is_manifest(row) else None
+    for _, _, row in iter_jsonl(path, error=SweepStreamError):
+        return row if is_manifest(row) else None
+    return None
 
 
 def restore_completed(
@@ -386,14 +352,14 @@ def run_checkpointed(
     if not stream_out:
         return list(stream)
     results: List[Union[SweepResult, CellError]] = []
-    with SweepStreamWriter(stream_out, manifest=manifest) as writer:
+    with open_stream(stream_out, manifest=manifest) as writer:
         for index, result in enumerate(stream):
             writer.write(result_to_row(index, cells[index], result, registry))
             results.append(result)
             if shutdown is not None and shutdown.requested:
                 writer.write(dict(manifest, interrupted={
                     "signal": shutdown.signum,
-                    "rows_written": writer.rows_written,
+                    "rows_written": len(results),
                     "cells_total": len(cells),
                 }))
                 break

@@ -25,6 +25,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.jsonl import JsonlWriter, format_location, iter_jsonl
 from repro.obs.manifest import MANIFEST_SCHEMA, is_manifest
 
 #: Version tag of bench-history JSONL rows.
@@ -75,13 +76,11 @@ def append_history(path: str, row: Dict[str, object]) -> None:
         raise ObservatoryError(
             f"history rows must carry schema {HISTORY_SCHEMA!r}"
         )
-    from repro.common.atomic import append_line
-
     # History rows are appended rarely (once per bench invocation), so
     # each is fsynced: the trend data a dashboard is built on should
     # not evaporate in a crash that happens minutes later.
-    with open(path, "a") as stream:
-        append_line(stream, json.dumps(row, sort_keys=True), fsync=True)
+    with JsonlWriter(path, append=True, fsync=True) as writer:
+        writer.write(row)
 
 
 def load_history(path: str, strict: bool = False) -> List[Dict[str, object]]:
@@ -90,8 +89,6 @@ def load_history(path: str, strict: bool = False) -> List[Dict[str, object]]:
     Mid-file corruption raises :class:`ObservatoryError` naming the
     line number and byte offset.
     """
-    from repro.common.jsonl import format_location, iter_jsonl
-
     rows: List[Dict[str, object]] = []
     for line_number, offset, row in iter_jsonl(path, strict=strict,
                                                error=ObservatoryError):

@@ -18,18 +18,18 @@ so all committed fingerprints are byte-identical with tracing on or off.
 
 On-disk format (:data:`SPAN_SCHEMA`, ``repro-spans/v1``): JSONL, a
 header line then one object per span/event, written by
-:class:`SpanWriter` with the same crash contract as the trace writer
-(flush per record and on error-path exit; a torn tail line is dropped by
-:func:`load_spans`).
+:class:`SpanWriter` under the shared JSONL crash contract
+(:mod:`repro.common.jsonl`: flush per record, durable close on the
+error path too; a torn tail line is dropped by :func:`load_spans`).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from typing import Dict, IO, List, Optional
+from typing import Dict, List, Optional
 
+from repro.common.jsonl import JsonlWriter, format_location, load_headed_jsonl
 from repro.obs.telemetry import Histogram
 
 #: Version tag in every span-file header.
@@ -168,36 +168,24 @@ class NullSpanTracer:
 NULL_SPANS = NullSpanTracer()
 
 
-class SpanWriter:
-    """Streams span/event records to a JSONL file.
+class SpanWriter(JsonlWriter):
+    """Streams span/event records to a JSONL file: the shared
+    :class:`~repro.common.jsonl.JsonlWriter`, truncating, behind the
+    span header.
 
-    Same crash contract as :class:`~repro.obs.trace.TraceWriter`: the
-    header goes first, every record is flushed as it is written (span
-    volume is low — per phase, not per branch — so durability beats
-    batching here), and context-manager exit closes on the error path
-    too, so a crashed run leaves a loadable file with at most one torn
-    tail line.
+    Every record is flushed as it is written (span volume is low — per
+    phase, not per branch — so durability beats batching here), and
+    context-manager exit closes durably on the error path too, so a
+    crashed run leaves a loadable file with at most one torn tail line.
     """
 
     def __init__(self, path: str, kind: str = "run",
                  context: Optional[Dict[str, object]] = None):
-        self.path = str(path)
-        self.records_written = 0
-        self._stream: Optional[IO[str]] = open(self.path, "w")
         header: Dict[str, object] = {"type": "header", "schema": SPAN_SCHEMA,
                                      "kind": kind}
         if context:
             header["context"] = context
-        self.write(header)
-
-    def write(self, record: Dict[str, object]) -> None:
-        stream = self._stream
-        if stream is None:
-            raise ValueError(f"span writer for {self.path} is closed")
-        stream.write(json.dumps(record, separators=(",", ":")))
-        stream.write("\n")
-        stream.flush()
-        self.records_written += 1
+        super().__init__(str(path), header=header)
 
     def write_summary(self, tracer: SpanTracer) -> None:
         """Append the tracer's aggregate view (phase latency rollup)."""
@@ -206,65 +194,34 @@ class SpanWriter:
         record.pop("events", None)  # already on disk as individual records
         self.write(record)
 
-    def close(self) -> None:
-        if self._stream is not None:
-            from repro.common.atomic import durable_flush
-
-            # Durable close: everything written is on the device before
-            # the handle drops, so only a mid-record kill can tear.
-            durable_flush(self._stream)
-            self._stream.close()
-            self._stream = None
-
-    def __enter__(self) -> "SpanWriter":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        # Close on both paths so a crash still leaves the file loadable.
-        self.close()
-
 
 def load_spans(path: str, strict: bool = False) -> Dict[str, object]:
     """Parse a span file into header/spans/events/summary.
 
-    A malformed *final* line — the torn tail of a killed writer — is
-    dropped (unless *strict*, which makes it an error like any other);
-    any other malformed line raises :class:`SpanSchemaError` naming the
-    line number and byte offset.
+    The torn tail of a killed writer (a final line without its newline)
+    is dropped, unless *strict*, which makes it an error like any other.
+    Any other malformed line, and a file that does not open with one
+    ``repro-spans/v1`` header, raises :class:`SpanSchemaError` naming
+    the line number and byte offset.
     """
-    from repro.common.jsonl import format_location, iter_jsonl
-
-    header: Optional[Dict[str, object]] = None
+    (_, _, header), *rows = load_headed_jsonl(
+        path, SPAN_SCHEMA, "span", strict=strict, error=SpanSchemaError)
     spans: List[Dict[str, object]] = []
     events: List[Dict[str, object]] = []
     summary: Optional[Dict[str, object]] = None
-    for line_number, offset, obj in iter_jsonl(path, strict=strict,
-                                               error=SpanSchemaError):
-        where = format_location(path, line_number, offset)
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise SpanSchemaError(f"{where}: expected an object with a type")
-        kind = obj["type"]
-        if kind == "header":
-            if obj.get("schema") != SPAN_SCHEMA:
-                raise SpanSchemaError(
-                    f"{where}: unsupported span schema "
-                    f"{obj.get('schema')!r} (expected {SPAN_SCHEMA!r})"
-                )
-            if header is not None:
-                raise SpanSchemaError(f"{where}: duplicate header record")
-            header = obj
-        elif header is None:
-            raise SpanSchemaError(f"{where}: {kind} record before header")
-        elif kind == "span":
+    for line_number, offset, obj in rows:
+        kind = obj.get("type")
+        if kind == "span":
             spans.append(obj)
         elif kind == "event":
             events.append(obj)
         elif kind == "summary":
             summary = obj
         else:
-            raise SpanSchemaError(f"{where}: unknown record type {kind!r}")
-    if header is None:
-        raise SpanSchemaError(f"{path}: no header record")
+            raise SpanSchemaError(
+                f"{format_location(path, line_number, offset)}: "
+                f"unknown record type {kind!r}"
+            )
     return {"path": str(path), "header": header, "spans": spans,
             "events": events, "summary": summary}
 

@@ -24,9 +24,9 @@ byte-reproducible, which is what lets tests pin round-trips.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, IO, List, Optional
+from typing import Dict, List
 
+from repro.common.jsonl import JsonlWriter
 from repro.core.predictor import PredictionOutcome
 from repro.stats.metrics import (
     MISPREDICT_CLASSES,
@@ -135,48 +135,32 @@ def validate_record(obj: object, line_number: int = 0) -> Dict[str, object]:
     return obj
 
 
-class TraceWriter:
-    """Streams trace records to a JSONL file.
+class TraceWriter(JsonlWriter):
+    """Streams trace records to a JSONL file: the shared
+    :class:`~repro.common.jsonl.JsonlWriter`, truncating, with a flush
+    per line.
 
     Use as a context manager, or call :meth:`close` explicitly.  The
     header must be written first (:meth:`write_header`); the summary
     (:meth:`write_summary`) is normally last.
 
-    Crash contract: the writer flushes every ``flush_every`` records and
-    again on context-manager exit *including the error path*, so a run
-    that dies mid-trace leaves a file whose damage is bounded to one
-    torn tail line — which :func:`repro.stats.analysis.load_trace`
-    drops on reload instead of refusing the whole file.
+    Crash contract: every record is flushed as it is written, and the
+    writer closes durably on context-manager exit *including the error
+    path*, so a run that dies mid-trace loses at most its final line,
+    which :func:`repro.stats.analysis.load_trace` drops on reload
+    instead of refusing the whole file.
     """
-
-    #: Records between forced flushes (bounds data lost to a hard kill).
-    flush_every = 256
 
     def __init__(self, path: str, every: int = 1):
         if every <= 0:
             raise ValueError(f"every must be positive, got {every}")
-        self.path = str(path)
+        super().__init__(str(path))
         self.every = every
-        self.records_written = 0
         self.branches_seen = 0
-        self._stream: Optional[IO[str]] = open(self.path, "w")
-
-    # -- record emission -----------------------------------------------
-
-    def _emit(self, record: Dict[str, object]) -> None:
-        stream = self._stream
-        if stream is None:
-            raise ValueError(f"trace writer for {self.path} is closed")
-        stream.write(json.dumps(record, sort_keys=False,
-                                separators=(",", ":")))
-        stream.write("\n")
-        self.records_written += 1
-        if self.records_written % self.flush_every == 0:
-            stream.flush()
 
     def write_header(self, *, workload: str, predictor: str, seed: int,
                      branches: int, interval: int) -> None:
-        self._emit({
+        self.write({
             "type": "header",
             "schema": TRACE_SCHEMA,
             "workload": workload,
@@ -192,44 +176,17 @@ class TraceWriter:
         index = self.branches_seen
         self.branches_seen += 1
         if index % self.every == 0:
-            self._emit(branch_record(index, outcome))
+            self.write(branch_record(index, outcome))
 
     def write_interval(self, sample: Dict[str, object]) -> None:
         record = {"type": "interval"}
         record.update(sample)
-        self._emit(record)
+        self.write(record)
 
     def write_summary(self, stats: Dict[str, object],
                       telemetry: Dict[str, object]) -> None:
-        self._emit({"type": "summary", "stats": stats,
+        self.write({"type": "summary", "stats": stats,
                     "telemetry": telemetry})
-
-    # -- lifecycle -------------------------------------------------------
-
-    def flush(self) -> None:
-        if self._stream is not None:
-            self._stream.flush()
-
-    def close(self) -> None:
-        if self._stream is not None:
-            from repro.common.atomic import durable_flush
-
-            # Durable close (flush + fsync): a completed trace survives
-            # a crash of whatever runs after it.  Mid-run flushes stay
-            # plain flushes — fsync every 256 branch records would sit
-            # on the simulation hot path.
-            durable_flush(self._stream)
-            self._stream.close()
-            self._stream = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        # Flush-then-close on both paths: an exception inside the block
-        # must still leave everything written so far on disk, so the
-        # file stays loadable (minus at most a torn tail).
-        self.close()
 
 
 # ----------------------------------------------------------------------

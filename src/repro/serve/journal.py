@@ -30,15 +30,14 @@ rename leaves the previous snapshot and the full journal (plus a
 stranded temp, which recovery deletes); a crash between rename and
 rotation leaves events recovery skips by sequence number.  A crash
 mid-append tears at most the final journal line, which the loader
-drops: a torn batch was by construction never answered, so dropping it
-is the only correct reading.
+drops and the writer reopened by recovery cuts off before its first
+append: a torn batch was by construction never answered, so dropping
+it is the only correct reading.
 """
 
 from __future__ import annotations
 
 import gc
-import io
-import json
 import os
 import pickle
 import time
@@ -46,14 +45,14 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.common.atomic import (
-    append_line,
-    atomic_write_bytes,
-    commit_temp,
-    temp_sibling,
-)
+from repro.common.atomic import atomic_write_bytes, commit_temp, temp_sibling
 from repro.common.errors import JournalError
-from repro.common.jsonl import format_location, iter_jsonl
+from repro.common.jsonl import (
+    JsonlWriter,
+    encode_line,
+    format_location,
+    load_headed_jsonl,
+)
 
 JOURNAL_SCHEMA = "repro-serve-journal/v1"
 SNAPSHOT_SCHEMA = "repro-serve-snapshot/v1"
@@ -87,8 +86,10 @@ def journal_header(tenant: str, config: str, backend: str) -> Dict:
             "config": config, "backend": backend}
 
 
-class JournalWriter:
-    """Append-only, fsync-per-event writer for one tenant journal.
+class JournalWriter(JsonlWriter):
+    """One tenant journal: the shared JSONL writer, appending with an
+    fsync per event, plus the journal's own event check, :meth:`mark`
+    and :meth:`rotate`.
 
     ``tear_after_bytes`` is the chaos hook: when set, the next append
     writes only that many bytes of its line and hard-kills the process
@@ -97,45 +98,32 @@ class JournalWriter:
     """
 
     def __init__(self, path: Union[str, Path], header: Dict):
-        self.path = Path(path)
         self.header = dict(header)
         self.tear_after_bytes: Optional[int] = None
         #: Byte length of the journal at the last :meth:`mark`: the
         #: next :meth:`rotate` keeps what was appended beyond it.
         self._mark: Optional[int] = None
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._stream: Optional[io.TextIOWrapper] = open(
-            self.path, "a", encoding="utf-8"
-        )
-        if fresh:
-            self._append_obj(self.header)
-
-    def _append_obj(self, obj: Dict) -> None:
-        if self._stream is None:
-            raise ValueError("journal writer is closed")
-        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        if self.tear_after_bytes is not None:
-            # Chaos: emulate dying mid-append.  Write a prefix, make it
-            # durable so recovery really sees the torn tail, then die
-            # the way a crashed process dies — no unwinding, no atexit.
-            self._stream.write(line[: self.tear_after_bytes])
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-            os._exit(70)
-        append_line(self._stream, line, fsync=True)
+        super().__init__(Path(path), append=True, header=self.header,
+                         fsync=True)
 
     def append(self, event: Dict) -> None:
         """Durably record one event (fsync before returning)."""
         if event.get("type") not in JOURNAL_EVENT_TYPES:
             raise JournalError(f"unknown journal event {event.get('type')!r}")
-        self._append_obj(event)
+        if self.tear_after_bytes is not None:
+            # Chaos: emulate dying mid-append.  Write a prefix of the
+            # line (never its newline), make it durable so recovery
+            # really sees the torn tail, then die the way a crashed
+            # process dies — no unwinding, no atexit.
+            self._stream.write(encode_line(event)[:-1][:self.tear_after_bytes])
+            self.close()
+            os._exit(70)
+        self.write(event)
 
     def mark(self) -> None:
         """Note where the journal ends: a snapshot of the state up to
         here is being written.  Every append is flushed, so the file's
         size is the end."""
-        if self._stream is None:
-            raise ValueError("journal writer is closed")
         self._mark = os.fstat(self._stream.fileno()).st_size
 
     def rotate(self) -> None:
@@ -145,29 +133,19 @@ class JournalWriter:
         Called *after* the snapshot taken at the mark landed; the lines
         kept are the ones that snapshot does not hold.  The replacement
         is atomic, so a crash leaves either journal, and the old one
-        holds only extra events recovery skips by sequence number.
+        holds only extra events recovery skips by sequence number.  The
+        header goes through the shared encoder, so it is byte-identical
+        to the one written at creation.
         """
-        if self._stream is None:
-            raise ValueError("journal writer is closed")
-        self._stream.close()
-        try:
-            tail = b""
-            if self._mark is not None:
-                with open(self.path, "rb") as stream:
-                    stream.seek(self._mark)
-                    tail = stream.read()
-            header_line = json.dumps(self.header, sort_keys=True,
-                                     separators=(",", ":"))
-            atomic_write_bytes(self.path,
-                               header_line.encode("utf-8") + b"\n" + tail)
-            self._mark = None
-        finally:
-            self._stream = open(self.path, "a", encoding="utf-8")
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        tail = b""
+        if self._mark is not None:
+            with open(self.path, "rb") as stream:
+                stream.seek(self._mark)
+                tail = stream.read()
+        atomic_write_bytes(self.path, encode_line(self.header) + tail)
+        self._mark = None
+        self.close()
+        self._open(append=True)
 
 
 def load_journal(
@@ -178,33 +156,17 @@ def load_journal(
     The torn final line a crashed writer leaves is dropped (strict mode
     refuses it instead); corruption anywhere else is a real error.
     """
-    header: Optional[Dict] = None
+    (_, _, header), *rows = load_headed_jsonl(
+        path, JOURNAL_SCHEMA, "journal", strict=strict, error=JournalError)
     events: List[Dict] = []
-    for line_number, offset, obj in iter_jsonl(path, strict=strict,
-                                               error=JournalError):
+    for line_number, offset, obj in rows:
         where = format_location(path, line_number, offset)
-        if not isinstance(obj, dict):
-            raise JournalError(f"{where}: journal rows must be objects")
         kind = obj.get("type")
-        if kind == "header":
-            if header is not None:
-                raise JournalError(f"{where}: duplicate journal header")
-            if obj.get("schema") != JOURNAL_SCHEMA:
-                raise JournalError(
-                    f"{where}: unsupported journal schema "
-                    f"{obj.get('schema')!r} (expected {JOURNAL_SCHEMA!r})"
-                )
-            header = obj
-            continue
-        if header is None:
-            raise JournalError(f"{where}: journal event before header")
         if kind not in JOURNAL_EVENT_TYPES:
             raise JournalError(f"{where}: unknown journal event {kind!r}")
         if not isinstance(obj.get("seq"), int):
             raise JournalError(f"{where}: journal event without int seq")
         events.append(obj)
-    if header is None:
-        raise JournalError(f"{path}: journal has no header")
     return header, events
 
 

@@ -25,21 +25,27 @@ discipline plus idempotent retry-by-sequence makes the resend exact.
 from __future__ import annotations
 
 import asyncio
-import io
-import json
 import multiprocessing
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.common.atomic import append_line, atomic_write_json, \
-    discard_stale_temps
+from repro.common.atomic import atomic_write_json, discard_stale_temps
 from repro.common.errors import ServeError
+from repro.common.jsonl import JsonlWriter
 from repro.obs.manifest import build_manifest
 from repro.serve import protocol
 from repro.serve.shard import ShardHandle, ShardUnavailable
 
 EVENTS_SCHEMA = "repro-serve-events/v1"
+
+
+def open_events(spool_dir: Union[str, Path]) -> JsonlWriter:
+    """The spool's events log, appended to across server restarts with
+    an fsync per event.  One server owns a spool, so the log has the
+    one appender :mod:`repro.common.jsonl` requires."""
+    return JsonlWriter(Path(spool_dir) / "events.jsonl", append=True,
+                       fsync=True)
 
 
 class ServeOptions:
@@ -174,7 +180,7 @@ class PredictorServer:
         self.shards: List[ShardHandle] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._supervisor: Optional[asyncio.Task] = None
-        self._events: Optional[io.TextIOWrapper] = None
+        self._events: Optional[JsonlWriter] = None
         self._tick = 0
         self._started = None
         self._restarting: Dict[int, asyncio.Event] = {}
@@ -187,8 +193,7 @@ class PredictorServer:
         self.spool_dir.mkdir(parents=True, exist_ok=True)
         discard_stale_temps(self.spool_dir)
         self._started = time.monotonic()
-        self._events = open(self.spool_dir / "events.jsonl", "a",
-                            encoding="utf-8")
+        self._events = open_events(self.spool_dir)
         self._event("boot", schema=EVENTS_SCHEMA,
                     options=self.options.to_dict())
         # fork would inherit the event loop's locks mid-state from the
@@ -253,10 +258,7 @@ class PredictorServer:
     def _event(self, kind: str, **fields) -> None:
         if self._events is None:
             return
-        row = {"type": kind}
-        row.update(fields)
-        append_line(self._events, json.dumps(row, sort_keys=True),
-                    fsync=True)
+        self._events.write({"type": kind, **fields})
 
     # -- supervision -----------------------------------------------------
 

@@ -16,7 +16,6 @@ run's telemetry registry.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -188,38 +187,27 @@ def load_trace(path: str, strict: bool = False) -> TraceDocument:
 
     Raises :class:`repro.obs.trace.TraceSchemaError` on any malformed
     line (naming the line number and byte offset), a header/schema
-    mismatch, or a missing header — except a malformed *final* line,
-    the signature of a killed or crashed writer mid-record, which is
-    silently dropped (the writer flushes per batch and on error-path
-    exit, so that torn tail is the only damage a crash can leave).
-    With *strict* — the CLI ``--strict`` mode — the torn tail raises
-    too.
+    mismatch, or a missing header — except the torn tail of a killed or
+    crashed writer (a final line without its newline), which is
+    silently dropped (the writer flushes every line and closes on the
+    error path, so that torn tail is the only damage a crash can
+    leave).  With *strict* — the CLI ``--strict`` mode — the torn tail
+    raises too.
     """
-    from repro.common.jsonl import format_location, iter_jsonl
-    from repro.obs.trace import TraceSchemaError, validate_record
+    from repro.common.jsonl import load_headed_jsonl
+    from repro.obs.trace import TRACE_SCHEMA, TraceSchemaError, \
+        validate_record
 
-    header: Optional[Dict[str, object]] = None
-    branches: List[Dict[str, object]] = []
-    intervals: List[Dict[str, object]] = []
-    summary: Optional[Dict[str, object]] = None
-    for line_number, offset, obj in iter_jsonl(path, strict=strict,
-                                               error=TraceSchemaError):
+    rows = load_headed_jsonl(path, TRACE_SCHEMA, "trace", strict=strict,
+                             error=TraceSchemaError)
+    document = TraceDocument(path=str(path), header=rows[0][2])
+    for line_number, _offset, obj in rows:
         record = validate_record(obj, line_number)
         kind = record["type"]
-        where = format_location(path, line_number, offset)
-        if kind == "header":
-            if header is not None:
-                raise TraceSchemaError(f"{where}: duplicate header record")
-            header = record
-        elif header is None:
-            raise TraceSchemaError(f"{where}: {kind} record before header")
-        elif kind == "branch":
-            branches.append(record)
+        if kind == "branch":
+            document.branches.append(record)
         elif kind == "interval":
-            intervals.append(record)
-        else:
-            summary = record
-    if header is None:
-        raise TraceSchemaError(f"{path}: no header record")
-    return TraceDocument(path=str(path), header=header, branches=branches,
-                         intervals=intervals, summary=summary)
+            document.intervals.append(record)
+        elif kind == "summary":
+            document.summary = record
+    return document

@@ -7,7 +7,6 @@ import pytest
 
 from repro.common.atomic import (
     TMP_MARKER,
-    append_line,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -64,18 +63,6 @@ def test_discard_stale_temps_ignores_real_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "keep.json", "keep2.jsonl",
     ]
-
-
-def test_append_line_writes_one_flushed_line(tmp_path):
-    target = tmp_path / "rows.jsonl"
-    with open(target, "w") as stream:
-        append_line(stream, json.dumps({"row": 1}))
-        # Flushed through to the OS before close: another handle on the
-        # same file sees the complete line already.
-        assert target.read_text() == '{"row": 1}\n'
-        append_line(stream, json.dumps({"row": 2}), fsync=True)
-    assert [json.loads(line) for line in target.read_text().splitlines()] \
-        == [{"row": 1}, {"row": 2}]
 
 
 def test_atomic_write_into_missing_directory_raises(tmp_path):

@@ -24,8 +24,8 @@ from repro.engine.parallel import (
 from repro.engine.stream import (
     STREAM_SCHEMA,
     RestoredStats,
-    SweepStreamWriter,
     load_stream,
+    open_stream,
     restore_completed,
     result_to_row,
     row_to_result,
@@ -114,7 +114,7 @@ def test_load_stream_drops_torn_tail(tmp_path):
     results = run_cells(copy.deepcopy(cells), workers=1)
     path = str(tmp_path / "stream.jsonl")
     registry = PayloadRegistry()
-    with SweepStreamWriter(path) as writer:
+    with open_stream(path) as writer:
         for index in (0, 1):
             writer.write(result_to_row(index, cells[index], results[index],
                                        registry))
@@ -201,7 +201,7 @@ def test_killed_sweep_resumed_from_stream_matches_uninterrupted(tmp_path):
 
     # "Killed" run: the consumer dies after two rows; the writer has
     # flushed those rows plus a torn tail from the in-flight write.
-    writer = SweepStreamWriter(path)
+    writer = open_stream(path)
     stream = stream_cells(copy.deepcopy(cells), workers=2, chunk_size=1)
     for index, result in enumerate(stream):
         writer.write(result_to_row(index, cells[index], result, registry))
@@ -234,7 +234,7 @@ def test_fully_streamed_sweep_resumes_to_a_no_op(tmp_path):
     registry = PayloadRegistry()
     path = str(tmp_path / "stream.jsonl")
     results = run_cells(copy.deepcopy(cells), workers=1)
-    with SweepStreamWriter(path) as writer:
+    with open_stream(path) as writer:
         for index, result in enumerate(results):
             writer.write(result_to_row(index, cells[index], result,
                                        registry))
@@ -297,7 +297,7 @@ def test_manifest_embeds_as_first_line_and_is_skipped(tmp_path):
     path = str(tmp_path / "stream.jsonl")
     registry = PayloadRegistry()
     manifest = build_manifest("sweep", grid={"cells": len(cells)})
-    with SweepStreamWriter(path, manifest=manifest) as writer:
+    with open_stream(path, manifest=manifest) as writer:
         for index, result in enumerate(results):
             writer.write(result_to_row(index, cells[index], result,
                                        registry))
@@ -319,7 +319,7 @@ def test_manifest_headed_stream_resumes(tmp_path):
     results = run_cells(copy.deepcopy(cells), workers=1)
     path = str(tmp_path / "stream.jsonl")
     registry = PayloadRegistry()
-    with SweepStreamWriter(path,
+    with open_stream(path,
                            manifest=build_manifest("sweep")) as writer:
         for index in (0, 1):
             writer.write(result_to_row(index, cells[index], results[index],
@@ -334,7 +334,7 @@ def test_load_stream_manifest_none_for_plain_streams(tmp_path):
     cells = _cells()
     results = run_cells(copy.deepcopy(cells), workers=1)
     path = str(tmp_path / "plain.jsonl")
-    with SweepStreamWriter(path) as writer:
+    with open_stream(path) as writer:
         writer.write(result_to_row(0, cells[0], results[0]))
     assert load_stream_manifest(path) is None
 
@@ -352,5 +352,5 @@ def test_writer_rejects_invalid_manifest(tmp_path):
     from repro.obs.manifest import ManifestError
 
     with pytest.raises(ManifestError):
-        SweepStreamWriter(str(tmp_path / "bad.jsonl"),
+        open_stream(str(tmp_path / "bad.jsonl"),
                           manifest={"schema": "nope"})

@@ -304,3 +304,30 @@ def test_evict_held_by_a_cold_snapshot_is_not_replayed(tmp_path):
         _serve_all(twin, batches, start=2)
     recovered.close()
     twin.close()
+
+
+@pytest.mark.parametrize("between", [1, 2])
+def test_appends_after_a_torn_tail_survive_a_second_crash(tmp_path,
+                                                          between):
+    """The writer reopened by recovery cuts the torn tail before its
+    first append, so the batches answered after the first crash are
+    still journaled, on lines of their own, at the second."""
+    batches = LONG_PLAN.batches()
+    state = TenantState("t0", "z15", "object", tmp_path)
+    state.open_fresh()
+    _serve_all(state, batches[:3])
+    state.journal.close()  # crash: no close(), no snapshot written
+    with open(state.paths.journal, "a") as stream:
+        stream.write('{"type":"batch","seq":3,"branch')  # killed mid-append
+
+    recovered = TenantState.recover("t0", tmp_path)
+    assert recovered.next_seq == 3
+    _serve_all(recovered, batches[:3 + between], start=3)
+    recovered.journal.close()  # crash again
+
+    again = TenantState.recover("t0", tmp_path)
+    assert again.next_seq == 3 + between
+    last = _serve_all(again, batches, start=3 + between)
+    assert last["fingerprint"] == \
+        reference_fingerprint(LONG_PLAN)["fingerprint"]
+    again.close()
