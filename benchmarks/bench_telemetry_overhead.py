@@ -1,16 +1,18 @@
 """X7 — telemetry overhead (the observability layer's own cost).
 
 Not a paper experiment: measures what attaching a `TelemetrySession`
-costs relative to a plain run — across the full backend × engine-mode
-matrix — and pins the contract that matters more than the absolute
-numbers: telemetry *off* is free (the engines keep their ``observer is
-None`` fast loops and produce byte-identical fingerprints), and
-telemetry *on* never changes results (fingerprint-identical stats).
-Uses real pytest-benchmark rounds like `bench_simulator_throughput`.
+costs relative to a plain run on the same runner — across the full
+backend × engine-mode matrix — and pins the contract that matters more
+than the absolute numbers: telemetry *off* is free (the engines keep
+their ``observer is None`` fast loops and produce byte-identical
+fingerprints), and telemetry *on* never changes results
+(fingerprint-identical stats).  Each gate is a ratio of interleaved
+best-of-N wall times, so host drift lands on both arms.
 """
 
 import itertools
 import time
+from functools import partial
 
 import pytest
 from common import print_table
@@ -55,31 +57,68 @@ def _run_instrumented(workload: str, trace_path=None,
     return stats
 
 
+#: Rounds of every interleaved best-of-N comparison below.
+ROUNDS = 3
+
+
+def _best_seconds(arms) -> tuple:
+    """Best-of-N wall time of each arm (name -> zero-argument run),
+    alternating inside each round and swapping order every other round,
+    so host drift lands on every arm.  Returns the times and each arm's
+    last result."""
+    names = list(arms)
+    best = {name: float("inf") for name in names}
+    results = {}
+    for repeat in range(ROUNDS):
+        for name in names if repeat % 2 == 0 else names[::-1]:
+            start = time.perf_counter()
+            results[name] = arms[name]()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best, results
+
+
+#: Telemetry on may at most double a plain run of the same cell on the
+#: same runner.  The session folds each counted branch once
+#: (``RunStats.record``) and the collector adds a dozen checks and two
+#: histogram samples: about 2.5-3 us per branch, against 25-80 us for a
+#: plain branch.  Seven runs of this gate on a shared 2-vCPU host read
+#: 1.06-1.51x, at 11K-35K telemetry-on branches/s.  A collector made
+#: about 55 us per branch slower reads 2.0-3.4x and fails it; the
+#: absolute floor of 3,000 telemetry-on branches/s it replaces passed
+#: that collector (7.5K-11K branches/s), and any run down to about a
+#: quarter of today's slowest cell.  Whole-simulator slowdowns are
+#: gated by bench_simulator_throughput's floors.
+TELEMETRY_CEILING = 2.0
+
+
 @pytest.mark.parametrize("backend,engine_mode", MATRIX)
 @pytest.mark.parametrize("workload", ["compute-kernel", "transactions"])
 def test_telemetry_collection_overhead(benchmark, workload, backend,
                                        engine_mode):
-    if engine_mode == "fast":
+    arms = {
+        "plain": partial(_run_plain, workload, backend=backend,
+                         engine_mode=engine_mode),
+        "telemetry": partial(_run_instrumented, workload, backend=backend,
+                             engine_mode=engine_mode),
+    }
+    for run in arms.values():
         # Kernel compilation is cached process-wide; pay it outside the
         # timed rounds so they measure steady state (like any JIT).
-        _run_plain(workload, backend=backend, engine_mode="fast")
-    stats = benchmark.pedantic(
-        _run_instrumented, args=(workload,),
-        kwargs={"backend": backend, "engine_mode": engine_mode},
-        rounds=3, iterations=1, warmup_rounds=1,
+        run()
+    best, stats = benchmark.pedantic(_best_seconds, args=(arms,),
+                                     rounds=1, iterations=1)
+    ratio = best["telemetry"] / best["plain"]
+    print_table(
+        f"X7 telemetry: {workload} [{backend}/{engine_mode}] on / off = "
+        f"{ratio:.2f}x (ceiling {TELEMETRY_CEILING}x)",
+        ["arm", f"best of {ROUNDS} s", "branches/s"],
+        [[arm, f"{best[arm]:.4f}", f"{BRANCHES / best[arm]:,.0f}"]
+         for arm in best],
     )
-    seconds = benchmark.stats.stats.mean
-    branches_per_second = BRANCHES / seconds
-    print(f"\n{workload} [{backend}/{engine_mode}] (telemetry on): "
-          f"{branches_per_second:,.0f} branches/second")
-    # Collection adds one observer call and ~20 counter increments per
-    # branch; anything below this floor means the collector grew a
-    # pathological hot path.
-    assert branches_per_second > 3000
+    assert ratio <= TELEMETRY_CEILING
     # The contract the overhead is paid for: identical results.
-    assert stats_fingerprint(stats) == stats_fingerprint(
-        _run_plain(workload, backend=backend, engine_mode=engine_mode)
-    )
+    assert stats_fingerprint(stats["telemetry"]) == \
+        stats_fingerprint(stats["plain"])
 
 
 @pytest.mark.parametrize("workload", ["compute-kernel", "transactions"])
@@ -111,37 +150,22 @@ def test_telemetry_off_is_identity(workload):
 #: branches/s it replaces passed runs up to about 15 times slower than
 #: today's.
 TRACE_SINK_CEILING = 2.0
-TRACE_SINK_ROUNDS = 3
-
-
-def _best_seconds_with_and_without_sink(path) -> dict:
-    """Best-of-N wall time of a telemetry run with the trace sink
-    (``"trace"``) and without it (``"telemetry"``), alternating inside
-    each round and swapping order every other round, so host drift
-    lands on both arms."""
-    arms = ("telemetry", "trace")
-    best = {arm: float("inf") for arm in arms}
-    for repeat in range(TRACE_SINK_ROUNDS):
-        for arm in arms if repeat % 2 == 0 else arms[::-1]:
-            start = time.perf_counter()
-            stats = _run_instrumented(
-                "transactions", path if arm == "trace" else None)
-            best[arm] = min(best[arm], time.perf_counter() - start)
-            assert stats.branches == BRANCHES
-    return best
 
 
 def test_trace_sink_overhead(benchmark, tmp_path):
     path = str(tmp_path / "bench.jsonl")
-    _run_instrumented("transactions", path)  # warm-up, outside the timing
-    best = benchmark.pedantic(_best_seconds_with_and_without_sink,
-                              args=(path,), rounds=1, iterations=1)
+    arms = {"telemetry": partial(_run_instrumented, "transactions"),
+            "trace": partial(_run_instrumented, "transactions", path)}
+    arms["trace"]()  # warm-up, outside the timing
+    best, stats = benchmark.pedantic(_best_seconds, args=(arms,),
+                                     rounds=1, iterations=1)
     ratio = best["trace"] / best["telemetry"]
     print_table(
         f"X7 trace sink: telemetry + trace / telemetry = {ratio:.2f}x "
         f"(ceiling {TRACE_SINK_CEILING}x)",
-        ["arm", f"best of {TRACE_SINK_ROUNDS} s", "branches/s"],
+        ["arm", f"best of {ROUNDS} s", "branches/s"],
         [[arm, f"{best[arm]:.4f}", f"{BRANCHES / best[arm]:,.0f}"]
          for arm in best],
     )
+    assert all(run.branches == BRANCHES for run in stats.values())
     assert ratio <= TRACE_SINK_CEILING

@@ -22,9 +22,9 @@ On top of the per-run layer sit the fleet-level pieces:
   BENCH artifacts, streams, manifests, spans and bench history.
 
 Telemetry and spans off is the default everywhere and costs nothing:
-the engines keep their ``observer is None`` fast paths, and
-instrumented call sites hold the falsy :data:`NULL_TELEMETRY` /
-:data:`NULL_SPANS` null objects.
+the engines take ``telemetry=None`` and ``spans=None``, keep their
+``observer is None`` fast paths and guard each phase with ``if
+spans:``.
 """
 
 from repro.obs.collect import TelemetryCollector, harvest_components
@@ -55,21 +55,17 @@ from repro.obs.report import render_report
 from repro.obs.sampler import IntervalSampler
 from repro.obs.session import TelemetrySession
 from repro.obs.spans import (
-    NULL_SPANS,
     SPAN_SCHEMA,
-    NullSpanTracer,
     SpanSchemaError,
     SpanTracer,
     SpanWriter,
     load_spans,
 )
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     TELEMETRY_SCHEMA,
     Counter,
     Gauge,
     Histogram,
-    NullTelemetry,
     Telemetry,
 )
 from repro.obs.trace import (
@@ -91,10 +87,6 @@ __all__ = [
     "IntervalSampler",
     "MANIFEST_SCHEMA",
     "ManifestError",
-    "NULL_SPANS",
-    "NULL_TELEMETRY",
-    "NullSpanTracer",
-    "NullTelemetry",
     "ObservatoryError",
     "OpenMetricsError",
     "SPAN_SCHEMA",

@@ -1,16 +1,21 @@
 """Folding prediction outcomes and component state into the registry.
 
-Two complementary sources feed the :class:`~repro.obs.telemetry.
-Telemetry` registry:
+Three sources feed the :class:`~repro.obs.telemetry.Telemetry`
+registry:
 
-* **Per-branch events** — the :class:`TelemetryCollector` is an engine
-  ``observer``: every :class:`~repro.core.predictor.PredictionOutcome`
-  is decomposed into component counters (BTB1 hit/surprise, direction
-  and target provider usage and correctness, TAGE provider vs alternate,
-  perceptron overrides, SKOOT skip savings, CPRED acceleration, BTB2
-  triggers, mispredict classes) and a GPQ-occupancy histogram sample.
-  This path only runs when telemetry is attached, preserving the
-  engines' ``observer is None`` fast paths.
+* **The run's own fold** — a telemetry session folds every counted
+  branch once, with :meth:`~repro.stats.metrics.RunStats.record`, and
+  at harvest the :class:`TelemetryCollector` sets the counters that
+  fold already holds (:func:`stats_counters`: BTB1 hits and surprises,
+  the search walk, SKOOT, CPRED, BTB2 triggers, direction and target
+  provider use and correctness, taken branches and mispredict classes).
+
+* **Per-branch events** — the collector is also an engine ``observer``
+  for what ``RunStats`` does not count: walk-capped searches, the TAGE
+  provider/alternate split, perceptron overrides, power gating, and the
+  lines-per-branch and GPQ-occupancy histograms.  This path only runs
+  when telemetry is attached, preserving the engines' ``observer is
+  None`` fast paths.
 
 * **Component harvest** — at snapshot time :func:`harvest_components`
   pulls every core structure's native plain-int statistics (via the
@@ -22,12 +27,12 @@ Telemetry` registry:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.predictor import LookaheadBranchPredictor, PredictionOutcome
 from repro.core.providers import DirectionProvider
 from repro.obs.telemetry import Telemetry
-from repro.stats.metrics import MISPREDICT_CLASSES, classify
+from repro.stats.metrics import RunStats
 
 #: GPQ occupancy histogram buckets (the z15 GPQ holds tens of entries).
 GPQ_BOUNDS = (0, 1, 2, 4, 8, 12, 16, 24, 32, 48, 64)
@@ -35,9 +40,46 @@ GPQ_BOUNDS = (0, 1, 2, 4, 8, 12, 16, 24, 32, 48, 64)
 #: Lines-searched-per-branch histogram buckets.
 SEARCH_BOUNDS = (0, 1, 2, 3, 4, 6, 8, 12, 16, 32)
 
+#: Registry counters that are plain ``RunStats`` fields: (counter, field).
+STATS_FIELDS = (
+    ("btb1.dynamic_hits", "dynamic_predictions"),
+    ("btb1.surprise_misses", "surprise_branches"),
+    ("btb1.bad_predictions_removed", "bad_predictions_removed"),
+    ("btb1.bad_taken_restarts", "bad_taken_restarts"),
+    ("btb2.search_triggers", "btb2_triggers"),
+    ("cpred.accelerated_streams", "cpred_accelerated_streams"),
+    ("direction.predicted_taken_dynamic", "predicted_taken_dynamic"),
+    ("engine.mispredicted_branches", "mispredicted_branches"),
+    ("engine.taken_branches", "taken_branches"),
+    ("search.empty", "empty_searches"),
+    ("search.lines_searched", "lines_searched"),
+    ("skoot.lines_skipped", "lines_skipped_by_skoot"),
+    ("skoot.overshoots", "skoot_overshoots"),
+)
+
+
+def stats_counters(stats: RunStats) -> Dict[str, int]:
+    """The registry counters a ``RunStats`` fold holds, by name.
+
+    A counter is present only when nonzero, as per-branch increments
+    would have created it; ``engine.branches``, which a registry always
+    carries, is the caller's.
+    """
+    counts = {name: getattr(stats, field) for name, field in STATS_FIELDS}
+    for provider, (uses, correct) in stats.direction_providers.items():
+        counts[f"direction.provider.{provider.value}"] = uses
+        counts[f"direction.correct.{provider.value}"] = correct
+    for provider, (uses, correct) in stats.target_providers.items():
+        counts[f"target.provider.{provider.value}"] = uses
+        counts[f"target.correct.{provider.value}"] = correct
+    for klass, count in stats.classes.items():
+        counts[f"mispredict.{klass.value}"] = count
+    return {name: value for name, value in counts.items() if value}
+
 
 class TelemetryCollector:
-    """An engine observer that instruments every prediction outcome."""
+    """An engine observer for what ``RunStats`` does not count, and the
+    harvest of what it does."""
 
     def __init__(
         self,
@@ -48,55 +90,21 @@ class TelemetryCollector:
         self.predictor = predictor
         # Instruments the per-branch path touches, bound once: observe()
         # runs for every branch of a telemetry-on run.
-        self._branches = telemetry.counter("engine.branches")
         self._gpq_occupancy = telemetry.histogram("gpq.occupancy", GPQ_BOUNDS)
         self._lines_per_branch = telemetry.histogram(
             "search.lines_per_branch", SEARCH_BOUNDS
         )
 
     def observe(self, outcome: PredictionOutcome) -> None:
-        """Fold one prediction outcome into the registry."""
-        telemetry = self.telemetry
+        """Fold one outcome's events that ``RunStats`` does not count."""
         record = outcome.record
         trace = outcome.trace
-        inc = telemetry.inc
-        self._branches.value += 1
-
-        # --- BTB1 hit/miss and the search walk ------------------------
-        if record.dynamic:
-            inc("btb1.dynamic_hits")
-        else:
-            inc("btb1.surprise_misses")
+        inc = self.telemetry.inc
         self._lines_per_branch.observe(trace.lines_searched)
-        if trace.lines_searched:
-            inc("search.lines_searched", trace.lines_searched)
-        if trace.empty_searches:
-            inc("search.empty", trace.empty_searches)
         if trace.walk_capped:
             inc("search.walk_capped")
-
-        # --- SKOOT / CPRED search savings ------------------------------
-        if trace.lines_skipped_by_skoot:
-            inc("skoot.lines_skipped", trace.lines_skipped_by_skoot)
-        if trace.skoot_overshoot:
-            inc("skoot.overshoots")
-        if trace.cpred_accelerated:
-            inc("cpred.accelerated_streams")
-
-        # --- BTB2 triggers and bad predictions -------------------------
-        if trace.btb2_triggers:
-            inc("btb2.search_triggers", trace.btb2_triggers)
-        if trace.bad_predictions_removed:
-            inc("btb1.bad_predictions_removed", trace.bad_predictions_removed)
-        if trace.bad_taken_restarts:
-            inc("btb1.bad_taken_restarts", trace.bad_taken_restarts)
-
-        # --- Direction provider usage and correctness -------------------
-        provider = record.direction_provider.value
-        inc(f"direction.provider.{provider}")
-        actual_taken = record.actual_taken
-        if record.predicted_taken == actual_taken:
-            inc(f"direction.correct.{provider}")
+        predicted_taken = record.predicted_taken
+        correct = predicted_taken == record.actual_taken
 
         # TAGE provider / alternate-provider split (§V): which PHT table
         # provided, and what the tracked alternate would have done.
@@ -104,34 +112,25 @@ class TelemetryCollector:
         if snapshot is not None and snapshot.provider is not None:
             inc(f"tage.provider.{snapshot.provider}")
             alternate = record.alternate_taken
-            if alternate is not None and alternate != record.predicted_taken:
+            if alternate is not None and alternate != predicted_taken:
                 inc("tage.alternate_disagreed")
-                if record.predicted_taken == actual_taken:
+                if correct:
                     inc("tage.provider_beat_alternate")
-                elif alternate == actual_taken:
+                elif alternate == record.actual_taken:
                     inc("tage.alternate_beat_provider")
 
         # Perceptron overrides (§V): the perceptron only ever *overrides*
         # the figure-8 chain, so provider==perceptron is an override.
         if record.direction_provider is DirectionProvider.PERCEPTRON:
             inc("perceptron.overrides")
-            if record.predicted_taken == actual_taken:
+            if correct:
                 inc("perceptron.overrides_correct")
             alternate = record.alternate_taken
-            if alternate is not None and alternate != record.predicted_taken:
-                if record.predicted_taken == actual_taken:
+            if alternate is not None and alternate != predicted_taken:
+                if correct:
                     inc("perceptron.override_saves")
                 else:
                     inc("perceptron.override_damage")
-
-        # --- Target provider usage (agreed-taken dynamic branches) ------
-        if record.dynamic and record.predicted_taken:
-            inc("direction.predicted_taken_dynamic")
-            if actual_taken:
-                target = record.target_provider.value
-                inc(f"target.provider.{target}")
-                if record.predicted_target == record.actual_target:
-                    inc(f"target.correct.{target}")
 
         # --- Power gating (§VI) ----------------------------------------
         if not record.pht_powered:
@@ -141,21 +140,18 @@ class TelemetryCollector:
         if not record.ctb_powered:
             inc("power.ctb_gated")
 
-        # --- Mispredict classes ----------------------------------------
-        klass = classify(outcome)
-        inc(f"mispredict.{klass.value}")
-        if klass in MISPREDICT_CLASSES:
-            inc("engine.mispredicted_branches")
-        if actual_taken:
-            inc("engine.taken_branches")
-
         # --- GPQ occupancy (sampled after this branch's push/retire) ---
         predictor = self.predictor
         if predictor is not None:
             self._gpq_occupancy.observe(len(predictor.gpq))
 
-    def harvest(self) -> None:
-        """Pull component-native statistics into gauges (snapshot time)."""
+    def harvest(self, stats: RunStats) -> None:
+        """Set the counters *stats* folds and pull component-native
+        statistics into gauges (snapshot time)."""
+        counter = self.telemetry.counter
+        counter("engine.branches").value = stats.branches
+        for name, value in stats_counters(stats).items():
+            counter(name).value = value
         if self.predictor is not None:
             harvest_components(self.telemetry, self.predictor)
 

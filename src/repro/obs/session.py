@@ -1,16 +1,23 @@
-"""One run's telemetry bundle: collector + sampler + trace writer.
+"""One run's telemetry bundle: one fold, collector, sampler, trace writer.
 
 A :class:`TelemetrySession` is the single object callers attach to an
 engine.  It owns a fresh :class:`~repro.obs.telemetry.Telemetry`
 registry, exposes one per-branch :meth:`observe` entry point (usable
 directly as the engines' ``observer`` hook or through their
-``telemetry=`` parameter), and fans each outcome into:
+``telemetry=`` parameter), folds each counted outcome once into a
+:class:`~repro.stats.metrics.RunStats` of its own, and fans it into:
 
-* the :class:`~repro.obs.collect.TelemetryCollector` (component
-  counters),
-* the :class:`~repro.obs.sampler.IntervalSampler` (time series), and
+* the :class:`~repro.obs.collect.TelemetryCollector` (the component
+  counters ``RunStats`` does not hold; at :meth:`finish` it sets the
+  ones it does from the fold),
+* the :class:`~repro.obs.sampler.IntervalSampler` (time series, read
+  off the fold), and
 * the :class:`~repro.obs.trace.TraceWriter` (JSONL sink), when a trace
   path was given.
+
+The session folds for itself because observers run before the engine
+records an outcome: at a window's last branch the engine's own
+``RunStats`` is one branch behind.
 
 ``skip`` mirrors the engines' warmup handling: the engines hand the
 observer *every* branch, warmup included, but
@@ -28,7 +35,7 @@ from repro.obs.collect import TelemetryCollector
 from repro.obs.report import render_report
 from repro.obs.sampler import IntervalSampler
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import TraceWriter, reconcile_with_stats
+from repro.obs.trace import TraceWriter
 from repro.stats.metrics import RunStats
 
 
@@ -44,8 +51,12 @@ class TelemetrySession:
         skip: int = 0,
     ):
         self.telemetry = Telemetry()
+        #: Every counted outcome, folded once; the registry's derived
+        #: counters and the interval samples read this.
+        self.stats = RunStats()
         self.collector = TelemetryCollector(self.telemetry, predictor)
-        self.sampler = IntervalSampler(interval) if interval else None
+        self.sampler = (IntervalSampler(interval, self.stats)
+                        if interval else None)
         self.writer = (
             TraceWriter(trace_path, every=trace_every) if trace_path else None
         )
@@ -72,22 +83,24 @@ class TelemetrySession:
         if self._skip > 0:
             self._skip -= 1
             return
+        self.stats.record(outcome)
         self.collector.observe(outcome)
         writer = self.writer
         if self.sampler is not None:
-            sample = self.sampler.observe(outcome)
+            sample = self.sampler.poll()
             if sample is not None and writer is not None:
                 writer.write_interval(sample)
         if writer is not None:
             writer.observe(outcome)
 
     def finish(self, stats: Optional[RunStats] = None) -> "TelemetrySession":
-        """End of run: harvest component counters, flush the trailing
-        interval window, write the trace summary, close the sink."""
+        """End of run: harvest the fold's and the components' counters,
+        flush the trailing interval window, write the trace summary
+        (with *stats*, the engine's, when given), close the sink."""
         if self.finished:
             return self
         self.finished = True
-        self.collector.harvest()
+        self.collector.harvest(self.stats)
         writer = self.writer
         if self.sampler is not None:
             tail = self.sampler.flush_partial()
@@ -119,8 +132,3 @@ class TelemetrySession:
         payload = self.telemetry.to_dict()
         payload["samples"] = list(self.samples)
         return payload
-
-    def reconcile(self, stats: RunStats,
-                  branches: List[Dict[str, object]]) -> List[str]:
-        """Diff loaded trace branch records against this run's stats."""
-        return reconcile_with_stats(branches, stats)

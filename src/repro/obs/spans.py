@@ -10,11 +10,11 @@ wall and CPU durations, plus point events (``cell.retry``,
 ``cell.timeout``, ``pool.break``) so rare incidents are visible in
 order.
 
-The tracer follows the telemetry null-object discipline exactly:
-:data:`NULL_SPANS` is falsy and every method a no-op, so instrumented
-code guards with ``if spans:`` and the off path pays one truthiness
-check.  Spans never influence simulation results — they only observe —
-so all committed fingerprints are byte-identical with tracing on or off.
+Tracing off is no tracer at all: instrumented code takes ``spans=None``
+and guards with ``if spans:``, so the off path pays one truthiness
+check (a real tracer is always truthy).  Spans never influence
+simulation results — they only observe — so all committed fingerprints
+are byte-identical with tracing on or off.
 
 On-disk format (:data:`SPAN_SCHEMA`, ``repro-spans/v1``): JSONL, a
 header line then one object per span/event, written by
@@ -62,9 +62,6 @@ class SpanTracer:
         self.spans: List[Dict[str, object]] = []
         self.events: List[Dict[str, object]] = []
         self._histograms: Dict[str, Histogram] = {}
-
-    def __bool__(self) -> bool:
-        return True
 
     # -- recording -------------------------------------------------------
 
@@ -134,40 +131,6 @@ class SpanTracer:
         }
 
 
-class NullSpanTracer:
-    """The off-mode tracer: falsy, every operation a no-op."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    @contextmanager
-    def span(self, name: str, **fields):
-        yield
-
-    def observe(self, name: str, wall: float,
-                cpu: Optional[float] = None, **fields) -> None:
-        pass
-
-    def event(self, name: str, **fields) -> None:
-        pass
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return {}
-
-    def phase_latency(self) -> Dict[str, Dict[str, object]]:
-        return {}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"schema": SPAN_SCHEMA, "spans": 0, "events": [],
-                "phase_latency": {}}
-
-
-#: The shared off-mode singleton (stateless, safe to share everywhere).
-NULL_SPANS = NullSpanTracer()
-
-
 class SpanWriter(JsonlWriter):
     """Streams span/event records to a JSONL file: the shared
     :class:`~repro.common.jsonl.JsonlWriter`, truncating, behind the
@@ -228,8 +191,6 @@ def load_spans(path: str, strict: bool = False) -> Dict[str, object]:
 
 __all__ = [
     "LATENCY_BOUNDS_MS",
-    "NULL_SPANS",
-    "NullSpanTracer",
     "SPAN_SCHEMA",
     "SpanSchemaError",
     "SpanTracer",

@@ -7,17 +7,10 @@ instrument has a dotted name whose first segment is the owning component
 (``btb1.hits``, ``skoot.lines_skipped``, ``gpq.occupancy``), and reports
 group by that prefix.
 
-Two implementations share the interface:
-
-* :class:`Telemetry` — the real registry.  Instruments are created on
-  first use and kept in insertion-independent sorted order when
-  exported.
-* :class:`NullTelemetry` — the null object (:data:`NULL_TELEMETRY`).
-  Every method is a no-op and the instance is *falsy*, so instrumented
-  code can keep the PR-2 hot-path discipline: guard the per-branch work
-  behind one truthiness check (``if telemetry:``), exactly like the
-  engines' ``observer is None`` fast paths, and pay nothing when
-  telemetry is off.
+:class:`Telemetry` is the registry.  Instruments are created on first
+use and kept in insertion-independent sorted order when exported.
+Telemetry off is no registry at all: the engines take ``telemetry=None``
+and keep their ``observer is None`` fast paths.
 
 Nothing in this module imports the simulator; the registry is a plain
 data structure so the trace loader can rebuild one from JSON.
@@ -198,15 +191,10 @@ def component_of(name: str) -> str:
 class Telemetry:
     """A registry of named instruments, created on first use."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-
-    def __bool__(self) -> bool:
-        return True
 
     # -- instrument access ---------------------------------------------
 
@@ -265,10 +253,10 @@ class Telemetry:
         harvested total, so addition is the rollup semantics), and
         histograms merge bucket-wise (same-name histograms must share
         bounds).  Merging is commutative and associative over
-        :meth:`to_dict`, and a fresh (or null) registry is the identity
-        — the properties the cross-cell aggregation tests pin.  Accepts
-        a :class:`Telemetry`, a falsy null object (no-op), or a
-        :meth:`to_dict` payload.
+        :meth:`to_dict`, and a fresh registry is the identity — the
+        properties the cross-cell aggregation tests pin.  Accepts a
+        :class:`Telemetry` or a :meth:`to_dict` payload; ``None`` or an
+        empty payload is a no-op.
         """
         if not other:
             return self
@@ -333,62 +321,3 @@ class Telemetry:
             histogram.min = data["min"]
             histogram.max = data["max"]
         return telemetry
-
-
-class NullTelemetry:
-    """The off-mode registry: falsy, and every operation is a no-op.
-
-    Instrumented code holds one of these by default, so call sites can
-    either skip the work entirely behind ``if telemetry:`` (the hot-path
-    pattern) or call through unconditionally on cold paths.
-    """
-
-    enabled = False
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def counter(self, name: str) -> Counter:
-        return Counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return Gauge(name)
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
-        return Histogram(name, bounds)
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def merge_counts(self, prefix: str, counts: Dict[str, float]) -> None:
-        pass
-
-    def merge(self, other) -> "NullTelemetry":
-        return self
-
-    def components(self) -> List[str]:
-        return []
-
-    def component_items(self, component: str):
-        return iter(())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
-
-#: The shared off-mode singleton (stateless, safe to share everywhere).
-NULL_TELEMETRY = NullTelemetry()

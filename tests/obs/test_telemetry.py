@@ -1,13 +1,11 @@
-"""The telemetry registry: instrument semantics and the null object."""
+"""The telemetry registry: instrument semantics and export."""
 
 import pytest
 
 from repro.obs.telemetry import (
     DEFAULT_BOUNDS,
-    NULL_TELEMETRY,
     TELEMETRY_SCHEMA,
     Histogram,
-    NullTelemetry,
     Telemetry,
     component_of,
 )
@@ -31,6 +29,11 @@ class TestCounters:
         telemetry.set_gauge("gpq.occupancy", 12)
         telemetry.set_gauge("gpq.occupancy", 7)
         assert telemetry.gauge("gpq.occupancy").value == 7
+
+    def test_registry_is_truthy(self):
+        # Telemetry.merge skips a falsy argument, so a registry, even an
+        # empty one, must be truthy.
+        assert bool(Telemetry())
 
 
 class TestHistogram:
@@ -100,29 +103,3 @@ class TestExport:
         telemetry.observe("search.lines", 9)
         rebuilt = Telemetry.from_dict(telemetry.to_dict())
         assert rebuilt.to_dict() == telemetry.to_dict()
-
-
-class TestNullTelemetry:
-    def test_falsy_for_hot_path_guards(self):
-        assert not NULL_TELEMETRY
-        assert bool(Telemetry())
-        assert NULL_TELEMETRY.enabled is False
-
-    def test_all_operations_are_no_ops(self):
-        null = NullTelemetry()
-        null.inc("btb1.hits", 5)
-        null.set_gauge("gpq.occupancy", 3)
-        null.observe("search.lines", 2)
-        null.merge_counts("btb2", {"installs": 1})
-        assert null.components() == []
-        assert list(null.component_items("btb1")) == []
-        payload = null.to_dict()
-        assert payload["counters"] == {}
-        assert payload["gauges"] == {}
-        assert payload["histograms"] == {}
-
-    def test_returned_instruments_are_detached(self):
-        null = NullTelemetry()
-        null.counter("x").inc()
-        # A fresh throwaway each time — nothing accumulates.
-        assert null.counter("x").value == 0
